@@ -1,28 +1,17 @@
-"""Kernel micro-benchmark: scalar vs kernel on the semi-external hot loops.
+"""Kernel micro-benchmark: pure Python vs numpy reachability propagation.
 
-The two CPU paths the kernel layer (`repro.kernels`) vectorizes:
+Frontier propagation is the one hot loop with a numpy path: one
+block-granular relaxation scan
+(:meth:`~repro.kernels.ReachabilityKernel.relax_to_fixpoint`) over a
+million edges, the inner loop of every FW-BW-family reachability round.
+(The two-way merge has no numpy path, so it has no row here.)  Both
+sides are timed in paired back-to-back rounds (the
+:mod:`test_micro_codecs` pattern) and mark-for-mark equality is asserted
+before any timing is trusted.
 
-* **frontier propagation** — one Jacobi staging pass
-  (:meth:`~repro.kernels.ReachabilityKernel.stage_pass`) over a million
-  edges, the inner loop of every FW-BW-family reachability round; the
-  fast form is numpy boolean-mask gathering/scattering;
-* **unkeyed 2-way merge** — :func:`repro.kernels.merge_two_unkeyed` over
-  two half-million-record sorted runs, the most common merge shape of
-  the external sort; the fast form is the chunked concatenate-and-sort
-  merge (Timsort's C galloping run-merge — see
-  :mod:`repro.kernels.merge` for why numpy loses here), gated by the
-  same ``REPRO_NUMPY`` switch.
-
-Each op is timed scalar vs kernel in paired back-to-back rounds (the
-:mod:`test_micro_codecs` pattern: shared-CI noise arrives in bursts, and
-pairing plus a median-of-rounds ratio keeps a burst from landing on one
-side of the comparison).  Mark-for-mark / record-for-record equality is
-asserted before any timing is trusted, so the ratios can never be bought
-with a semantic change.
-
-Gates: the kernel path must be at least ``2×`` faster in aggregate
-across the two kernels, and at least ``1.3×`` faster for each
-individually.  Results land in ``benchmarks/results/micro_kernels.txt``.
+Gates: the numpy kernel must be at least ``2×`` faster (``AGGREGATE_GATE``
+and ``KERNEL_FLOOR`` apply to the single row).  Results land in
+``benchmarks/results/micro_kernels.txt``.
 """
 
 import gc
@@ -38,7 +27,6 @@ from repro.kernels.reachability import _NumpyReachability, _ScalarReachability
 
 NUM_EDGES = 1_000_000
 NUM_NODES = 200_000
-MERGE_RECORDS = 500_000  # per side
 BLOCK_RECORDS = 2048  # edges per simulated block handed to the kernel
 AGGREGATE_GATE = 2.0  # kernels must be at least this much faster overall
 KERNEL_FLOOR = 1.3  # and clearly win on each kernel individually
@@ -70,16 +58,6 @@ def _edge_blocks():
         tuple(edges[i : i + BLOCK_RECORDS])
         for i in range(0, NUM_EDGES, BLOCK_RECORDS)
     ]
-
-
-def _sorted_runs():
-    rng = random.Random(7)
-    span = 1 << 22
-    make = lambda: sorted(
-        (rng.randint(0, span), rng.randint(0, span))
-        for _ in range(MERGE_RECORDS)
-    )
-    return make(), make()
 
 
 def _timed(fn):
@@ -118,10 +96,12 @@ def _measure_propagation(blocks):
         bwd = bytearray(NUM_NODES)
         for seed in seeds:
             fwd[seed] = bwd[seed] = 1
-        new_fwd = bytearray(NUM_NODES)
-        new_bwd = bytearray(NUM_NODES)
-        kernel.stage_pass(blocks, part, active, fwd, bwd, new_fwd, new_bwd)
-        return bytes(new_fwd), bytes(new_bwd)
+        # The first scan hands over the million edges and the fixpoint
+        # check after it an empty one, so exactly one relaxation scan is
+        # timed.
+        scans = iter((blocks, ()))
+        kernel.relax_to_fixpoint(lambda: next(scans), part, active, fwd, bwd)
+        return bytes(fwd), bytes(bwd)
 
     s_marks, n_marks, t_scalar, t_kernel = _paired(
         lambda: one_pass(scalar_kernel), lambda: one_pass(numpy_kernel)
@@ -130,24 +110,8 @@ def _measure_propagation(blocks):
     return t_scalar, t_kernel
 
 
-def _measure_merge(left, right):
-    from repro.kernels.merge import _merge_two_chunked, _merge_two_scalar
-
-    s_out, n_out, t_scalar, t_kernel = _paired(
-        lambda: list(_merge_two_scalar(iter(left), iter(right))),
-        lambda: list(_merge_two_chunked(iter(left), iter(right))),
-    )
-    assert n_out == s_out, "chunked merge diverged from scalar"
-    return t_scalar, t_kernel
-
-
 def _run_all():
-    blocks = _edge_blocks()
-    left, right = _sorted_runs()
-    return {
-        "propagate": _measure_propagation(blocks),
-        "merge2": _measure_merge(left, right),
-    }
+    return {"propagate": _measure_propagation(_edge_blocks())}
 
 
 def _mrps(count, seconds):
@@ -157,12 +121,11 @@ def _mrps(count, seconds):
 
 def test_micro_kernels_beat_scalar(benchmark):
     results = benchmark.pedantic(_run_all, rounds=1, iterations=1)
-    volumes = {"propagate": NUM_EDGES, "merge2": 2 * MERGE_RECORDS}
+    volumes = {"propagate": NUM_EDGES}
 
     lines = [
         "Kernel micro-benchmark — scalar vs kernel "
-        f"({NUM_EDGES:,} edges propagated, {2 * MERGE_RECORDS:,} records "
-        "merged)",
+        f"({NUM_EDGES:,} edges, one relaxation scan)",
         f"{'kernel':<12} {'scalar':>12} {'kernel':>12} "
         f"{'scalar':>10} {'kernel':>10} {'ratio':>7}",
         f"{'':<12} {'s':>12} {'s':>12} "

@@ -1,18 +1,17 @@
-"""Multi-source BFS vs the FW-BW family on the Fig. 6 size points.
+"""Multi-source BFS vs forward-backward on the Fig. 6 size points.
 
 Wang et al.'s batched reachability shares one sequential edge scan among
 up to S concurrent pivot searches (one mask bit per source), so a
 workload that single-pivot FW-BW covers in R rounds of scans costs about
 R/S rounds here.  This bench runs the semi-external solvers directly on
 each Fig. 6 subsample (the webspam stand-in, 20%..100% of edges) and
-checks the two claims the PR makes for ``multi-bfs``:
+checks the two claims made for ``multi-bfs``:
 
-* **same answer** — labels identical to ``forward-backward`` and
-  ``parallel-fw-bw`` at every size point (canonical min-member labels,
-  so dict equality is exact);
+* **same answer** — labels identical to ``forward-backward`` at every
+  size point (canonical min-member labels, so dict equality is exact);
 * **fewer scans** — strictly fewer sequential scans of the edge file
-  than ``parallel-fw-bw`` at the 40% point (and, as the table shows, at
-  every other point too).
+  than ``forward-backward`` at the 40% point (and, as the table shows,
+  at every other point too).
 
 Scan counts divide the sequential-read delta by the edge file's block
 count: every solver round reads each block exactly once, so the quotient
@@ -28,7 +27,7 @@ from repro.semi_external import SEMI_SCC_SOLVERS
 
 PERCENTAGES = (20, 40, 60, 80, 100)
 SCAN_GATE_PCT = 40  # the point where the strict scan win is a hard gate
-SOLVERS = ("forward-backward", "parallel-fw-bw", "multi-bfs")
+SOLVERS = ("forward-backward", "multi-bfs")
 
 
 def _run_solver(name, edges, n):
@@ -58,7 +57,7 @@ def test_multi_bfs_matches_fw_bw_with_fewer_scans(benchmark):
     rows = benchmark.pedantic(_run_all, rounds=1, iterations=1)
 
     lines = [
-        "Multi-source BFS vs FW-BW family — Fig 6 size points "
+        "Multi-source BFS vs forward-backward — Fig 6 size points "
         "(webspam stand-in)",
         f"{'size%':>5} {'solver':>17} {'scans':>6} {'I/Os':>10} {'random':>7}",
     ]
@@ -84,5 +83,5 @@ def test_multi_bfs_matches_fw_bw_with_fewer_scans(benchmark):
 
     # The batched scans must pay off where the gate says so (strictly).
     gate_multi = rows[(SCAN_GATE_PCT, "multi-bfs")][1]
-    gate_parallel = rows[(SCAN_GATE_PCT, "parallel-fw-bw")][1]
-    assert gate_multi < gate_parallel, (gate_multi, gate_parallel)
+    gate_fw_bw = rows[(SCAN_GATE_PCT, "forward-backward")][1]
+    assert gate_multi < gate_fw_bw, (gate_multi, gate_fw_bw)

@@ -1,30 +1,17 @@
-"""Wall-clock as a first-class metric: the Fig. 6 smoke point timed.
+"""Wall-clock invariance: the Fig. 6 smoke point under every execution
+configuration.
 
-Two claims, kept deliberately separate:
-
-* **Invariance** — the batch record path and the ``processes`` executor
-  are *pure* wall-clock optimisations: at every codec × executor × K
-  combination the smoke run's simulated ledger (every I/O counter, byte
-  counter, pass counter) and its answer are exactly the scalar serial
-  run's.  This is the correctness half and it is gated exactly.
-* **Speed** — batch beats scalar end-to-end on the same workload.  The
-  measured trajectory is committed at the repo root
-  (``BENCH_wallclock.json``) so the speedup is reviewable history, not a
-  claim; the in-test gate is a soft floor (``WALLCLOCK_FLOOR``) because
-  absolute timings vary across machines while the committed entry records
-  the real ratio.
-
-Run labels come from ``REPRO_BENCH_LABEL`` (defaults to the current
-date) so CI pushes append a dated trajectory point per commit.
+Every execution knob left — the executor (``serial``, ``threads``), the
+worker count K, and the ``REPRO_NUMPY`` reachability kernel — is a
+*pure* wall-clock knob: at every codec × executor × K combination, with
+numpy on and off, the smoke run's simulated ledger and its answer are
+exactly the serial K=1 run's with numpy off.  That identity is gated
+exactly.  Wall time itself is measured by ``benchmarks/perf``;
+``BENCH_wallclock.json`` is the frozen history of the earlier
+scalar-vs-batch comparison.
 """
 
-import datetime
-import json
-import os
-import pathlib
-import platform
-import statistics
-
+from repro import kernels
 from repro.bench import (
     BLOCK_SIZE,
     memory_for_ratio,
@@ -33,16 +20,13 @@ from repro.bench import (
     subsample_edges,
     webspam_graph,
 )
-from repro.io.codecs import set_batch_enabled
+from repro.core import ExtSCCConfig
 
-WALLCLOCK_JSON = pathlib.Path(__file__).parent.parent / "BENCH_wallclock.json"
 MEMORY_RATIO = 0.47  # Fig. 6 default memory
 SMOKE_PCT = 20
-WALLCLOCK_FLOOR = 1.25  # soft in-test floor; the committed entry records the real ratio
-REPEATS = 3
 
 MATRIX_CODECS = ("gap-varint", "varint", "fixed")
-MATRIX_EXECUTORS = ("serial", "threads", "processes")
+MATRIX_EXECUTORS = ("serial", "threads")
 MATRIX_WORKERS = (1, 2, 4, 8)
 
 
@@ -54,12 +38,8 @@ def _smoke_point():
 
 
 def _fingerprint(run):
-    """Everything the simulation promises is execution-strategy-invariant.
-
-    Deliberately excludes ``wall_seconds`` (the quantity being optimised),
-    ``makespan``/``channel_io`` (properties of striping width K), and the
-    per-phase wall measurements.
-    """
+    """Everything the simulation promises is execution-strategy-invariant
+    (not wall seconds, not makespan/channel_io, which depend on K)."""
     return {
         "status": run.status,
         "io_total": run.io_total,
@@ -75,173 +55,37 @@ def _fingerprint(run):
     }
 
 
-def _run_smoke(edges, n, memory, *, batch, executor="serial", workers=1,
-               codec=None, autotune=False, numpy=False):
-    from repro import kernels
-    from repro.core import ExtSCCConfig
-
-    config = ExtSCCConfig.optimized(codec=codec) if codec else None
-    previous = set_batch_enabled(batch)
-    previous_numpy = kernels.set_enabled(numpy)
+def _run_smoke(edges, n, memory, *, codec, executor="serial", workers=1,
+               numpy=False):
+    previous = kernels.set_enabled(numpy)
     try:
         return run_algorithm("Ext-SCC-Op", edges, n, memory,
                              block_size=BLOCK_SIZE, x=SMOKE_PCT,
-                             config=config, workers=workers,
-                             executor=executor, autotune=autotune)
+                             config=ExtSCCConfig.optimized(codec=codec),
+                             workers=workers, executor=executor)
     finally:
-        kernels.set_enabled(previous_numpy)
-        set_batch_enabled(previous)
-
-
-def _median_walls(edges, n, memory, variants):
-    """Median wall per variant, measured in *interleaved* rounds.
-
-    Shared-host noise arrives in bursts; running every variant once per
-    round (instead of all repeats of one variant back to back) spreads a
-    burst across all variants rather than inflating a single one.
-    """
-    walls = {label: [] for label in variants}
-    sample = {}
-    for _ in range(REPEATS):
-        for label, kwargs in variants.items():
-            run = _run_smoke(edges, n, memory, **kwargs)
-            assert run.ok
-            walls[label].append(run.wall_seconds)
-            if label in sample:
-                assert _fingerprint(run) == _fingerprint(sample[label])
-            else:
-                sample[label] = run
-    return {
-        label: (statistics.median(walls[label]), sample[label])
-        for label in variants
-    }
+        kernels.set_enabled(previous)
 
 
 def test_wallclock_invariance_matrix(benchmark):
-    """Exact ledger identity at every codec × executor × K against the
-    scalar serial run — the acceptance matrix for the batch path."""
+    """Exact ledger identity at every codec × executor × K, numpy on and
+    off, against the serial K=1 run with numpy off."""
     edges, n, memory = _smoke_point()
 
     def run_matrix():
         mismatches = []
         for codec in MATRIX_CODECS:
-            reference = _fingerprint(
-                _run_smoke(edges, n, memory, batch=False, codec=codec)
-            )
-            for executor in MATRIX_EXECUTORS:
-                for workers in MATRIX_WORKERS:
-                    run = _run_smoke(edges, n, memory, batch=True,
-                                     executor=executor, workers=workers,
-                                     codec=codec)
-                    if _fingerprint(run) != reference:
-                        mismatches.append(
-                            (codec, executor, workers,
-                             _fingerprint(run), reference)
-                        )
+            reference = _fingerprint(_run_smoke(edges, n, memory, codec=codec))
+            for numpy in (False, True):
+                for executor in MATRIX_EXECUTORS:
+                    for workers in MATRIX_WORKERS:
+                        run = _run_smoke(edges, n, memory, codec=codec,
+                                         executor=executor, workers=workers,
+                                         numpy=numpy)
+                        if _fingerprint(run) != reference:
+                            mismatches.append((codec, numpy, executor, workers,
+                                               _fingerprint(run), reference))
         return mismatches
 
     mismatches = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
     assert not mismatches, mismatches[0]
-
-
-def test_wallclock_speedup_committed(benchmark):
-    """Time the smoke point scalar vs batch, commit the trajectory, and
-    gate a soft local floor (the committed entry carries the real ratio)."""
-    edges, n, memory = _smoke_point()
-
-    def measure():
-        return _median_walls(edges, n, memory, {
-            "scalar-serial": dict(batch=False),
-            "batch-serial": dict(batch=True),
-            "batch-numpy-serial": dict(batch=True, numpy=True),
-            "batch-threads-k4": dict(batch=True, executor="threads", workers=4),
-            "batch-processes-k1": dict(batch=True, executor="processes", workers=1),
-            "batch-processes-k4": dict(batch=True, executor="processes", workers=4),
-            "autotuned": dict(batch=True, autotune=True),
-        })
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    scalar_wall, scalar_run = results["scalar-serial"]
-    for label, (wall, run) in results.items():
-        if label == "autotuned":
-            # The autotuner may pick any knob combination; the answer must
-            # match, the ledger is the chosen config's own.
-            assert run.num_sccs == scalar_run.num_sccs
-            continue
-        assert _fingerprint(run) == _fingerprint(scalar_run), label
-
-    static_labels = [label for label in results
-                     if label not in ("scalar-serial", "autotuned")]
-    best_label, (best_wall, _) = min(
-        ((label, results[label]) for label in static_labels),
-        key=lambda item: item[1][0],
-    )
-    speedup = scalar_wall / best_wall
-
-    # The optimizer rides along: autotuned wall vs the best static
-    # variant measured in the same interleaved rounds.
-    autotuned_wall, autotuned_run = results["autotuned"]
-    best_static_wall = min(results[label][0] for label in static_labels)
-
-    label = os.environ.get(
-        "REPRO_BENCH_LABEL", datetime.date.today().isoformat()
-    )
-    entry = {
-        "label": label,
-        "workload": f"fig6-smoke-{SMOKE_PCT}pct",
-        "block_size": BLOCK_SIZE,
-        "host": platform.node(),
-        "io_total": scalar_run.io_total,
-        "num_sccs": scalar_run.num_sccs,
-        "wall_seconds": {
-            name: round(wall, 4) for name, (wall, _) in results.items()
-        },
-        "best_variant": best_label,
-        "speedup_vs_scalar": round(speedup, 3),
-        "autotune": {
-            "codec": autotuned_run.autotune.get("codec"),
-            "workers": autotuned_run.autotune.get("workers"),
-            "executor": autotuned_run.autotune.get("executor"),
-            "solver": autotuned_run.autotune.get("solver"),
-            "wall_vs_best_static": round(autotuned_wall / best_static_wall, 3),
-            "io_total": autotuned_run.io_total,
-        },
-    }
-    trajectory = []
-    if WALLCLOCK_JSON.exists():
-        trajectory = json.loads(WALLCLOCK_JSON.read_text())["entries"]
-    # Against a committed pre-batch baseline measured on the *same* host
-    # (role: baseline), record the cross-version speedup too — that is the
-    # number the batch path is accountable for.  Entries from other hosts
-    # are history, not a comparison target.
-    for baseline in trajectory:
-        if (baseline.get("role") == "baseline"
-                and baseline.get("host") == entry["host"]
-                and baseline.get("workload") == entry["workload"]):
-            base_wall = baseline["wall_seconds"]["scalar-serial"]
-            entry["speedup_vs_baseline"] = round(base_wall / best_wall, 3)
-            procs = [w for name, w in entry["wall_seconds"].items()
-                     if name.startswith("batch-processes")]
-            if procs:
-                entry["speedup_vs_baseline_processes"] = round(
-                    base_wall / min(procs), 3
-                )
-    trajectory = [e for e in trajectory if e["label"] != label] + [entry]
-    WALLCLOCK_JSON.write_text(
-        json.dumps({"workload": f"fig6-smoke-{SMOKE_PCT}pct",
-                    "entries": trajectory}, indent=2) + "\n"
-    )
-
-    lines = [f"Fig. 6 smoke wall-clock (median of {REPEATS}):"]
-    for name, (wall, _) in results.items():
-        lines.append(f"  {name:<20} {wall:8.3f}s"
-                     f"  ({scalar_wall / wall:5.2f}x vs scalar)")
-    lines.append(f"  best: {best_label} — {speedup:.2f}x")
-    print()
-    print("\n".join(lines))
-
-    assert speedup >= WALLCLOCK_FLOOR, (
-        f"batch path only {speedup:.2f}x scalar (floor {WALLCLOCK_FLOOR}x); "
-        f"see BENCH_wallclock.json"
-    )

@@ -26,7 +26,7 @@ from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
 from repro.core.config import ExtSCCConfig
 from repro.core.ext_scc import IterationRecord
 from repro.io.codecs import CODECS
-from repro.io.parallel import EXECUTOR_BACKENDS, processes_available
+from repro.io.parallel import EXECUTOR_BACKENDS
 from repro.plan import ExtPlan, PlanCache
 from repro.semi_external import SEMI_SCC_SOLVERS
 
@@ -520,17 +520,12 @@ def enumerate_knobs(
 ) -> List[Tuple[str, int, str, str]]:
     """The static-config space the search prices: every
     ``(codec, workers, executor, solver)`` combination, in deterministic
-    order.  The ``processes`` backend is enumerated only where the
-    platform can actually spawn workers."""
-    executors = [
-        e for e in EXECUTOR_BACKENDS
-        if e != "processes" or processes_available()
-    ]
+    order."""
     return [
         (codec, workers, executor, solver)
         for codec in sorted(CODECS)
         for solver in sorted(SEMI_SCC_SOLVERS)
-        for executor in executors
+        for executor in EXECUTOR_BACKENDS
         for workers in workers_options
     ]
 

@@ -70,8 +70,8 @@ class ExtSCCConfig:
         pool_coalesce_writes: blocks the file layer may buffer before a
             back-to-back flush (1 disables coalescing).
         workers: shard width ``K`` for the partitionable operators (merge
-            passes, the degree co-scan, the expansion augments, the
-            parallel semi-external solver) and the channel count of a
+            passes, the degree co-scan, the expansion augments) and the
+            channel count of a
             :class:`~repro.io.parallel.StripedDevice` in the benchmark
             harness.  ``K=1`` is the exact serial pipeline; any ``K``
             produces identical SCC labels and identical *total* ledgers —

@@ -299,10 +299,9 @@ class ExtSCC:
             raise
         finally:
             if created_pool is not None:
-                # Drop the executors this run spun up (worker threads, and
-                # for the processes backend the worker processes).  The
-                # pool object stays attached and usable — a later run on
-                # the same device lazily recreates them.
+                # Drop the worker threads this run spun up.  The pool
+                # object stays attached and usable — a later run on the
+                # same device lazily recreates them.
                 created_pool.close()
 
     def _pipeline(

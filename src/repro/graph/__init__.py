@@ -1,7 +1,6 @@
 """Graph layer: in-memory digraphs, graph files on the simulated disk,
 synthetic generators, named datasets, and interchange formats."""
 
-from repro.graph.compressed import CompressedEdgeFile
 from repro.graph.digraph import DiGraph
 from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.graph.generators import (
@@ -45,7 +44,6 @@ from repro.graph.io_formats import (
 
 __all__ = [
     "DiGraph",
-    "CompressedEdgeFile",
     "EdgeFile",
     "NodeFile",
     "GeneratedGraph",

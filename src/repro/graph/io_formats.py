@@ -48,8 +48,14 @@ def write_edge_text(path: PathLike, edges: Iterable[Edge]) -> int:
 
 
 def read_edge_text(path: PathLike) -> Iterator[Edge]:
-    """Stream edges from a ``u v`` text file, skipping blanks and ``#`` lines."""
-    with open(path, "r", encoding="ascii") as f:
+    """Stream edges from a ``u v`` text file, skipping blanks and ``#`` lines.
+
+    A line that is not two integers raises :class:`InputFormatError`
+    naming the file, line and token.  A non-ASCII byte reaches that check
+    inside its token (``surrogateescape``) instead of failing the decoder
+    somewhere in the middle of the file.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

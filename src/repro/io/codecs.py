@@ -39,7 +39,6 @@ the codec in effect (explicit argument, else the device default, else
 
 from __future__ import annotations
 
-import os
 import struct
 from bisect import bisect_right
 from itertools import accumulate, islice
@@ -49,8 +48,6 @@ from repro.exceptions import StorageError
 from repro.io.blocks import BlockDevice
 from repro.io.files import ExternalFile
 from repro.io.varfile import VarRecordFile, varint_size
-from repro.kernels import _flags as _kernel_flags
-from repro.kernels.merge import _to_array
 
 __all__ = [
     "Codec",
@@ -64,10 +61,6 @@ __all__ = [
     "RecordStore",
     "create_record_file",
     "record_file_from_records",
-    "batch_enabled",
-    "set_batch_enabled",
-    "numpy_enabled",
-    "set_numpy_enabled",
     "BATCH_CHUNK",
 ]
 
@@ -77,49 +70,11 @@ DEFAULT_CODEC = "gap-varint"
 """Codec used when neither the caller nor the device names one."""
 
 
-# -- batch-path feature flags -------------------------------------------------
-
 BATCH_CHUNK = 4096
 """Records staged per batch append/size computation.  Large enough to
 amortize the per-chunk setup, small enough that chunk buffers stay cache
 resident; chunking is invisible to the output (the greedy block walk
 carries the previous record across chunk boundaries)."""
-
-_batch_enabled = os.environ.get("REPRO_BATCH_IO", "1") != "0"
-
-_NUMPY_MIN = 256
-"""Below this many records the numpy conversion overhead beats the win."""
-
-
-def batch_enabled() -> bool:
-    """Whether the block-granularity batch write path is active (default
-    on; disable with ``REPRO_BATCH_IO=0`` or :func:`set_batch_enabled` —
-    the scalar and batch paths are byte-identical, so this is a debugging
-    and benchmarking switch, not a correctness one)."""
-    return _batch_enabled
-
-
-def set_batch_enabled(enabled: bool) -> bool:
-    """Toggle the batch write path; returns the previous setting."""
-    global _batch_enabled
-    previous, _batch_enabled = _batch_enabled, bool(enabled)
-    return previous
-
-
-def numpy_enabled() -> bool:
-    """Whether the numpy vectorized varint-size path is active.  The
-    ``REPRO_NUMPY`` flag lives in :mod:`repro.kernels` (its single
-    process-wide home); this is a thin view of
-    :func:`repro.kernels.available` kept for the codec call sites and
-    API compatibility.  Opt-in and silently inert when numpy is not
-    importable; the pure-Python fallback is byte-identical."""
-    return _kernel_flags.available()
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Toggle the numpy fast path (process-wide, via
-    :func:`repro.kernels.set_enabled`); returns the previous setting."""
-    return _kernel_flags.set_enabled(enabled)
 
 
 # -- varint / zigzag primitives ---------------------------------------------
@@ -216,8 +171,8 @@ class Codec:
         ``prev`` is the record immediately before the slice (``None`` at a
         stream or block start); within the slice each record's predecessor
         is the previous slice element.  Equals ``[encoded_size(r, p) ...]``
-        element for element — subclasses override with tight loops (and an
-        optional numpy path), this generic version is the reference.
+        element for element — subclasses override with tight loops, this
+        generic version is the reference.
         """
         sizes: List[int] = []
         for record in records:
@@ -355,28 +310,6 @@ class FixedCodec(Codec):
         return records
 
 
-def _varint_sizes_numpy(zigzagged) -> List[int]:
-    """Per-record varint byte counts from a (n, fields) uint64 zigzag
-    array: a varint spends one byte per started 7-bit group, so the size
-    is one plus the number of ``2**(7k)`` thresholds at or below the
-    value."""
-    np = _kernel_flags.numpy_module()
-    thresholds = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
-    sizes = np.searchsorted(thresholds, zigzagged, side="right") + 1
-    return sizes.sum(axis=1, dtype=np.int64).tolist()
-
-
-def _zigzag_numpy(array):
-    """Vectorized :func:`zigzag_encode` (int64 in, uint64 out)."""
-    np = _kernel_flags.numpy_module()
-    unsigned = array.astype(np.uint64)
-    return np.where(
-        array >= 0,
-        unsigned << np.uint64(1),
-        (np.uint64(0) - unsigned) * np.uint64(2) - np.uint64(1),
-    )
-
-
 class VarintCodec(Codec):
     """Every field as a zigzag LEB128 varint; order-agnostic."""
 
@@ -400,13 +333,6 @@ class VarintCodec(Codec):
     def encoded_sizes(
         self, records: Sequence[Record], prev: Optional[Record] = None
     ) -> List[int]:
-        if numpy_enabled() and len(records) >= _NUMPY_MIN:
-            # fromiter-based conversion (the kernel layer's) runs ~2x
-            # faster than np.asarray on a list of tuples; None means the
-            # records don't fit int64 and the pure path handles them.
-            array = _to_array(_kernel_flags.numpy_module(), records)
-            if array is not None:
-                return _varint_sizes_numpy(_zigzag_numpy(array))
         sizes: List[int] = []
         append = sizes.append
         if records and len(records[0]) == 2:
@@ -556,8 +482,9 @@ class GapVarintCodec(VarintCodec):
 
     def encoded_size(self, record: Record, prev: Optional[Record] = None) -> int:
         # Open-coded delta/zigzag/size walk: this runs once per record on
-        # the non-batch append path, where the generator pipeline costs
-        # more than the arithmetic.
+        # the single-record append path and at every block cut of the
+        # batch walk, where a generator pipeline costs more than the
+        # arithmetic.
         gap = self.gap_field
         nbytes = 0
         for index, value in enumerate(record):
@@ -590,29 +517,12 @@ class GapVarintCodec(VarintCodec):
         gap = self.gap_field
         if gap >= len(records[0]):
             return VarintCodec.encoded_sizes(self, records)
-        if numpy_enabled() and len(records) >= _NUMPY_MIN:
-            np = _kernel_flags.numpy_module()
-            array = _to_array(np, records)
-            if array is not None:
-                try:
-                    column = array[:, gap]
-                    deltas = np.empty_like(column)
-                    deltas[1:] = column[1:] - column[:-1]
-                    deltas[0] = (
-                        column[0] - prev[gap] if prev is not None else column[0]
-                    )
-                    # the fromiter array is freshly built, so the gap column
-                    # can be overwritten in place (no caller aliases it)
-                    array[:, gap] = deltas
-                    return _varint_sizes_numpy(_zigzag_numpy(array))
-                except (OverflowError, ValueError):
-                    pass  # prev beyond int64: pure path handles bigints
         width = len(records[0])
         if width <= _SIZER_MAX_WIDTH:
             # Fused per-shape loop (see :func:`_gap_sizer`): the listcomp
             # covers records[1:], whose gap base is the *previous slice
             # element*; the head — the only record delta'd against
-            # ``prev`` — goes through the scalar walk.
+            # ``prev`` — goes through the per-record walk.
             try:
                 tail = _gap_sizer(width, gap)(records)
             except (TypeError, ValueError):
@@ -861,19 +771,15 @@ class CompressedRecordFile:
     def extend(self, records: Iterable[Record]) -> None:
         """Append many records through the codec-aware write buffer.
 
-        The batch path (default, see :func:`batch_enabled`) computes the
-        codec sizes for a whole chunk at once, replays the scalar writer's
-        greedy block walk over the size array, and hands the chunk to the
-        :class:`~repro.io.varfile.VarRecordFile` as pre-cut block slices —
-        the resulting blocks, accounted bytes, and ledger charges are
-        byte-identical to per-record :meth:`append` calls.
+        Computes the codec sizes for a whole chunk at once, replays the
+        per-record writer's greedy block walk over the size array, and
+        hands the chunk to the :class:`~repro.io.varfile.VarRecordFile` as
+        pre-cut block slices — the resulting blocks, accounted bytes, and
+        ledger charges are byte-identical to per-record :meth:`append`
+        calls.
         """
         if self._closed:
             raise StorageError(f"file {self.name!r} is closed for writing")
-        if not _batch_enabled:
-            for record in records:
-                self.append(record)
-            return
         if isinstance(records, (list, tuple)):
             if len(records) <= BATCH_CHUNK:
                 if records:
@@ -890,82 +796,50 @@ class CompressedRecordFile:
             self._extend_chunk(chunk)
 
     def _extend_chunk(self, chunk: Sequence[Record]) -> None:
-        """Batch-append one chunk: the scalar greedy walk over precomputed
-        chain sizes.  ``sizes[i]`` starts as the gap-chain size against the
-        previous record; exactly when the scalar path would close the tail
-        block (``tail + size > B``) it is recomputed as a block-start size
-        and the cut recorded — block-start encodings are never smaller
-        than chain encodings, so the walk cuts where the scalar one does.
+        """Batch-append one chunk: the per-record greedy walk over
+        precomputed chain sizes.  ``sizes[i]`` starts as the gap-chain size
+        against the previous record; exactly when :meth:`append` would
+        close the tail block (``tail + size > B``) it is recomputed as a
+        block-start size and the cut recorded — block-start encodings are
+        never smaller than chain encodings, so the walk cuts where
+        :meth:`append` does.
 
         Between cuts nothing inspects individual records, so the walk
         advances cut-to-cut: a C-level prefix sum plus a bisect finds each
         overflow index, and only those indices are touched from Python.
-        Non-positive sizes (impossible for the built-in codecs, and what
-        the scalar path rejects record by record) break the prefix sum's
-        monotonicity, so that case keeps the per-record reference walk.
+        A non-positive size (impossible for the built-in codecs) would
+        break the prefix sum's monotonicity; the records before it are
+        committed and the chunk fails there, as :meth:`append` would.
         """
         codec = self.codec
         block_size = self.device.block_size
         sizes = codec.encoded_sizes(chunk, self._prev)
-        if min(sizes) > 0:
-            cum = list(accumulate(sizes))
-            adj = 0  # total drift the cut reprices applied to ``sizes``
-            prev_cum = 0  # true cumulative bytes before the current segment
-            start = 0
-            tail = self._var.tail_bytes
-            cuts: List[int] = []
-            n = len(sizes)
-            while True:
-                index = bisect_right(
-                    cum, block_size - tail + prev_cum - adj, start
-                )
-                if index >= n:
-                    break
-                fill = tail if index == start else (
-                    tail + cum[index - 1] + adj - prev_cum
-                )
-                nbytes = codec.encoded_size(chunk[index], None)
-                if nbytes != sizes[index]:
-                    adj += nbytes - sizes[index]
-                    sizes[index] = nbytes
-                if nbytes <= 0 or nbytes > block_size:
-                    # Commit the valid prefix, then fail exactly like the
-                    # scalar path would on this record.
-                    self._var.append_batch(chunk[:index], sizes[:index], cuts)
-                    if index:
-                        self._prev = chunk[index - 1]
-                    if nbytes <= 0:
-                        raise ValueError("record size must be positive")
-                    raise StorageError(
-                        f"record of {nbytes} bytes exceeds the block size "
-                        f"{block_size}"
-                    )
-                if fill + nbytes > block_size:
-                    cuts.append(index)
-                    tail = nbytes
-                else:
-                    tail = fill + nbytes
-                prev_cum = cum[index] + adj
-                start = index + 1
-            self._var.append_batch(chunk, sizes, cuts)
-            self._prev = chunk[-1]
-            return
+        if min(sizes) <= 0:
+            bad = next(i for i, nbytes in enumerate(sizes) if nbytes <= 0)
+            if bad:
+                self._extend_chunk(chunk[:bad])
+            raise ValueError("record size must be positive")
+        cum = list(accumulate(sizes))
+        adj = 0  # total drift the cut reprices applied to ``sizes``
+        prev_cum = 0  # true cumulative bytes before the current segment
+        start = 0
         tail = self._var.tail_bytes
-        cuts = []
-        for index, nbytes in enumerate(sizes):
-            if tail + nbytes > block_size:
-                # The scalar writer re-prices the record as a block start
-                # here.  Usually that closes the tail block too — but with
-                # zigzag gap deltas on unsorted input the start encoding
-                # can be *smaller* than the chain encoding, in which case
-                # the record still fits and no cut happens; the flush test
-                # below therefore repeats with the re-priced size, exactly
-                # like VarRecordFile.append does.
-                nbytes = codec.encoded_size(chunk[index], None)
+        cuts: List[int] = []
+        n = len(sizes)
+        while True:
+            index = bisect_right(cum, block_size - tail + prev_cum - adj, start)
+            if index >= n:
+                break
+            fill = tail if index == start else (
+                tail + cum[index - 1] + adj - prev_cum
+            )
+            nbytes = codec.encoded_size(chunk[index], None)
+            if nbytes != sizes[index]:
+                adj += nbytes - sizes[index]
                 sizes[index] = nbytes
             if nbytes <= 0 or nbytes > block_size:
-                # Commit the valid prefix, then fail exactly like the
-                # scalar path would on this record.
+                # Commit the valid prefix, then fail exactly like
+                # :meth:`append` would on this record.
                 self._var.append_batch(chunk[:index], sizes[:index], cuts)
                 if index:
                     self._prev = chunk[index - 1]
@@ -975,10 +849,17 @@ class CompressedRecordFile:
                     f"record of {nbytes} bytes exceeds the block size "
                     f"{block_size}"
                 )
-            if tail + nbytes > block_size:
+            if fill + nbytes > block_size:
                 cuts.append(index)
-                tail = 0
-            tail += nbytes
+                tail = nbytes
+            else:
+                # With zigzag gap deltas on unsorted input the block-start
+                # encoding can be *smaller* than the chain encoding; the
+                # record then still fits and no cut happens, exactly like
+                # VarRecordFile.append.
+                tail = fill + nbytes
+            prev_cum = cum[index] + adj
+            start = index + 1
         self._var.append_batch(chunk, sizes, cuts)
         self._prev = chunk[-1]
 

@@ -34,8 +34,6 @@ from repro.io.blocks import BlockDevice
 from repro.io.codecs import Codec, FixedCodec, CompressedRecordFile, RecordStore
 from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import PROCESS_TASK_MIN
-from repro.kernels import sort_records
 
 __all__ = [
     "KEY_DST_AUX_SRC",
@@ -68,8 +66,8 @@ one store are uniform-arity (fixed-width decode derives the field count
 from ``record_size``), so checking the first record's arity is enough."""
 
 _KEY_COLUMNS = {KEY_DST_SRC: (1, 0), KEY_SRC_DST: (0, 1), KEY_DST_AUX_SRC: (1, 2, 0)}
-"""The registered permutation keys as column priorities, for the
-vectorized whole-buffer sort (:func:`repro.kernels.sort_records`)."""
+"""The registered permutation keys as column priorities (the source of
+:data:`_KEY_INVERSE`)."""
 
 _KEY_INVERSE: dict = {}
 for _key, _cols in _KEY_COLUMNS.items():
@@ -80,24 +78,6 @@ for _key, _cols in _KEY_COLUMNS.items():
 del _key, _cols, _inv, _pos, _col
 """Inverse permutation per registered key: ``inverse(key(r)) == r``, so a
 permuted stream can be mapped back to original records in C."""
-
-
-def _sorted_records(buffer: List[Record], key: Optional[KeyFn]) -> List[Record]:
-    """Sort a whole run buffer through the kernel layer.
-
-    The numpy lexsort applies when the order is the record's own tuple or
-    a registered permutation of *all* its fields (injective, so the stable
-    list sort and the stable lexsort write identical bytes); any other key
-    — including a permutation key over records with extra fields, where
-    equal keys no longer imply equal records — takes the scalar sort.
-    """
-    if key is None:
-        return sort_records(buffer)
-    columns = _KEY_COLUMNS.get(key)
-    if columns is not None and buffer and len(buffer[0]) == len(columns):
-        return sort_records(buffer, key=key, columns=columns)
-    buffer.sort(key=key)
-    return buffer
 
 
 def _create_run(
@@ -167,13 +147,6 @@ def form_runs(
     ]
 
 
-def _sort_buffer(buffer: List[Record]) -> List[Record]:
-    """The picklable pure-CPU sort kernel for process offload (records
-    sort by their own tuples — key functions don't cross processes)."""
-    buffer.sort()
-    return buffer
-
-
 def _write_run(
     device: BlockDevice,
     buffer: List[Record],
@@ -182,19 +155,7 @@ def _write_run(
     prefix: str,
     codec: Optional[Codec] = None,
 ) -> RecordStore:
-    pool = device.worker_pool
-    if (
-        key is None
-        and pool is not None
-        and pool.backend == "processes"
-        and len(buffer) >= PROCESS_TASK_MIN
-    ):
-        # Offload the sort to a worker process: sorted() is deterministic
-        # and stable either way, so the run contents are identical — only
-        # which core did the comparisons changes.
-        buffer = pool.run_pure(_sort_buffer, [(buffer,)])[0]
-    else:
-        buffer = _sorted_records(buffer, key)
+    buffer.sort(key=key)
     out = _create_run(device, record_size, codec, prefix)
     out.extend(buffer)
     out.close()
@@ -238,7 +199,7 @@ def form_runs_replacement_selection(
         # (key, arrival) order — exactly what one stable sort produces, so
         # skip the heap (and its decorated entries) entirely and bulk-write
         # the single run.
-        fill = _sorted_records(fill, key_fn)
+        fill.sort(key=key_fn)
         out = _create_run(device, record_size, codec, prefix)
         out.extend(fill)
         out.close()

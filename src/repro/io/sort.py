@@ -34,7 +34,8 @@ its output in chunks, and merge output streams into
 block-granularity codec encoders (:mod:`repro.io.codecs`).  The batching
 is purely a host-CPU optimization — block cuts, codec chains, and every
 ledger counter are identical to per-record appends, which is what the
-batch/scalar equivalence suite pins down.
+batch-path equivalence suite pins down against a per-record reference
+encoder.
 """
 
 from __future__ import annotations

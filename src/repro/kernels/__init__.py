@@ -1,33 +1,29 @@
-"""Vectorized CPU kernels behind ``REPRO_NUMPY=1``.
+"""CPU kernels for the per-record hot loops.
 
 The simulated external-memory model charges I/O per *block*, but the
-host-CPU cost of a run is dominated by per-record Python loops: frontier
-propagation in the semi-external solvers touches every edge per scan, and
-the sort/merge inner loops touch every record per pass.  This package
-holds the vectorized replacements for those loops — numpy-backed when the
-fast path is active, byte-identical pure-Python otherwise — so every call
-site stays single-sourced on *semantics* and dual-sourced only on the
-arithmetic:
+host-CPU cost of a run is dominated by per-record Python loops.  This
+package holds the replacements for the two that matter:
 
 * :mod:`repro.kernels.reachability` — frontier propagation for the FW-BW
   solver family (single-bit and multi-source bitset-column variants).
-* :mod:`repro.kernels.merge` — the fits-in-memory sort and the unkeyed
-  2-way merge of the external sort.
+  The one place numpy pays (~4x on propagation), so it is the only
+  kernel with a numpy path, behind ``REPRO_NUMPY=1``; the pure-Python
+  path is its byte-identical fallback.
+* :mod:`repro.kernels.merge` — the chunked 2-way merges of the external
+  sort (pure Python; Timsort's C run-merge does the bulk work).
 
 This package is also the single home of the ``REPRO_NUMPY`` feature
-flag.  :mod:`repro.io.codecs` (the first numpy consumer) delegates here,
-so "is the numpy path on?" has exactly one answer process-wide:
+flag:
 
 * :func:`available` — the flag is set *and* numpy imports.
 * :func:`fallback_reason` — why the pure-Python path is running
   (``None`` when the numpy path is active); surfaced by ``scc -v`` and
   the ``--trace-json`` context so a silently-degraded benchmark run is
   visible in its artifacts.
-* :func:`set_enabled` — test/bench toggle, mirroring
-  ``set_batch_enabled``.
+* :func:`set_enabled` — test/bench toggle.
 
-Every kernel obeys the contract the batch record path established:
-**bit-for-bit output equality with the scalar loop**.  The numpy path
+Every kernel obeys one contract: **bit-for-bit output equality with the
+two-pointer / per-edge reference loops** the test suite keeps.  A kernel
 may reorder host work (chunking, lookahead) but never changes a staged
 mark, an emitted record, or any simulated-I/O counter.
 """
@@ -43,7 +39,6 @@ from repro.kernels.merge import (
     MERGE_CHUNK,
     merge_two_keyed,
     merge_two_unkeyed,
-    sort_records,
 )
 from repro.kernels.reachability import (
     RESOLVED,
@@ -60,7 +55,6 @@ __all__ = [
     "MERGE_CHUNK",
     "merge_two_keyed",
     "merge_two_unkeyed",
-    "sort_records",
     "RESOLVED",
     "ReachabilityKernel",
     "reachability_kernel",

@@ -1,4 +1,4 @@
-"""The ``REPRO_NUMPY`` feature flag, shared by every kernel module.
+"""The ``REPRO_NUMPY`` feature flag, read by the reachability kernel.
 
 Lives in its own module (not ``kernels/__init__``) so the kernel
 implementations can import it without a circular import through the

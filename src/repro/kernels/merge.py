@@ -1,54 +1,31 @@
-"""Sort and merge kernels for the external-sort inner loops.
+"""Merge kernels for the external-sort inner loops.
 
-Two hot spots in :mod:`repro.io.runs` / :mod:`repro.io.sort` are pure
-record shuffling with no I/O of their own:
+The unkeyed and keyed 2-way merges are the most common merge shapes of
+:mod:`repro.io.sort` (two runs), and pure record shuffling with no I/O of
+their own.  Both run as a chunked concatenate-and-stable-sort merge
+(:func:`merge_two_unkeyed`, :func:`merge_two_keyed`): ``sorted`` over two
+concatenated pre-sorted chunks hits Timsort's C galloping run-merge,
+which measures ~2x faster than a two-pointer loop in the interpreter.
 
-* the **fits-in-memory sort** — a whole run buffer sorted at once
-  (:func:`sort_records`); vectorized as one ``np.lexsort`` over the
-  record columns when the sort order is the record's own lexicographic
-  order or a registered column permutation.  The win over the scalar
-  path is largest for keyed sorts, where the scalar ``list.sort`` pays a
-  Python key-function call per record;
-* the **unkeyed 2-way merge** — the most common merge shape (two runs,
-  records compare as their own tuples), replaced by a chunked
-  concatenate-and-stable-sort merge (:func:`merge_two_unkeyed`).  The
-  bulk operation here is deliberately *not* numpy: ``sorted`` over the
-  two concatenated chunks hits Timsort's C galloping run-merge, which
-  measures ~2x faster than the scalar two-pointer loop, while any
-  tuple↔ndarray round trip costs more per record than the whole scalar
-  merge.  Because the chunked merge is batch-granularity *host* work —
-  the same trade the batch record path makes — it activates whenever
-  either fast-path switch (``REPRO_NUMPY`` or ``REPRO_BATCH_IO``) is
-  on, and the scalar two-pointer loops remain the byte-identical
-  reference.
-
-Both kernels are *output-identical* to their scalar counterparts,
-including the stability contract (ties emit the left/earlier stream
-first — the stable sorts see the left chunk before the right chunk).
-Chunking reads ahead up to :data:`MERGE_CHUNK` records per stream, which
-reorders *host* work only: every simulated block is still read exactly
-once, in the same scan, so the I/O ledger cannot move.
-
-Records that do not fit the sort kernel's vector form (ragged arity,
-non-integers, values beyond int64) make :func:`sort_records` fall back
-to the scalar whole-buffer sort; the merge kernel compares records as
-Python objects and needs no such fallback.
+The stability contract is the two-pointer merge's: ties emit the
+left/earlier stream first (the stable sorts see the left chunk before the
+right chunk).  Chunking reads ahead up to :data:`MERGE_CHUNK` records per
+stream, which reorders *host* work only: every simulated block is still
+read exactly once, in the same scan, so the I/O ledger cannot move.  The
+test suite keeps the two-pointer loops as the reference the chunked
+merges must equal, tie streams included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
-
-from repro.kernels import _flags
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 __all__ = [
     "MERGE_CHUNK",
-    "SORT_MIN",
     "merge_two_keyed",
     "merge_two_unkeyed",
-    "sort_records",
 ]
 
 Record = Tuple[int, ...]
@@ -57,147 +34,18 @@ KeyFn = Callable[[Record], object]
 MERGE_CHUNK = 4096
 """Records read ahead per stream and merged per chunk step."""
 
-SORT_MIN = 1024
-"""Below this many records the conversion overhead beats the lexsort win
-(pure heuristic — both paths produce identical output)."""
-
-_DONE = object()
-
-
-def _chunked_active() -> bool:
-    """Whether the chunked (batch-granularity) merges should dispatch.
-
-    The chunked merge needs no numpy — it is bulk host-side record work,
-    the same trade the batch record path makes — so either fast-path
-    switch turns it on.  The import is local because :mod:`repro.io.codecs`
-    imports this module for its array helpers.
-    """
-    if _flags.available():
-        return True
-    from repro.io.codecs import batch_enabled
-
-    return batch_enabled()
-
-
-def _to_array(np, records):
-    """Records → 2-D int64 array, or ``None`` when they don't fit the
-    vector form (ragged, non-integer, or beyond int64).
-
-    ``np.fromiter`` over the flattened records runs ~2x faster than
-    ``np.asarray`` on a list of tuples; the explicit arity check (a
-    C-level ``set(map(len, ...))`` pass) keeps a ragged buffer from being
-    silently misaligned by the flat fill.
-    """
-    width = len(records[0]) if records else 0
-    if width == 0 or set(map(len, records)) != {width}:
-        return None
-    try:
-        flat = np.fromiter(
-            chain.from_iterable(records),
-            dtype=np.int64,
-            count=width * len(records),
-        )
-    except (ValueError, TypeError, OverflowError):
-        return None
-    return flat.reshape(-1, width)
-
-
-def _rows(np, arr) -> List[Record]:
-    """2-D array → list of record tuples.  ``zip`` over per-column
-    ``tolist`` runs ~5x faster than ``map(tuple, arr.tolist())``."""
-    return list(zip(*(arr[:, c].tolist() for c in range(arr.shape[1]))))
-
-
-def sort_records(
-    buffer: List[Record],
-    key: Optional[KeyFn] = None,
-    columns: Optional[Tuple[int, ...]] = None,
-) -> List[Record]:
-    """Sort a record buffer; returns the sorted list (maybe ``buffer``
-    itself, sorted in place).
-
-    Args:
-        buffer: the records to sort.
-        key: the sort key; ``None`` sorts records as their own tuples.
-        columns: when ``key`` is a pure column permutation, its column
-            priority (primary first) — lets the vector path handle the
-            registered injective keys.  Ignored when ``key`` is ``None``
-            (the natural order is all columns in order).
-
-    The numpy path runs only when it can reproduce the scalar sort
-    exactly: unkeyed or column-permutation order over uniform int64
-    records.  Permutation keys are injective (equal keys ⇒ equal
-    records), so ``np.lexsort``'s stable order writes the same bytes as
-    the stable list sort.
-    """
-    if key is not None and columns is None:
-        buffer.sort(key=key)
-        return buffer
-    np = _flags.numpy_module()
-    if np is None or len(buffer) < SORT_MIN:
-        buffer.sort(key=key)
-        return buffer
-    arr = _to_array(np, buffer)
-    if arr is None:
-        buffer.sort(key=key)
-        return buffer
-    if columns is None:
-        columns = tuple(range(arr.shape[1]))
-    if max(columns, default=-1) >= arr.shape[1]:
-        buffer.sort(key=key)
-        return buffer
-    # lexsort's *last* key is primary, so feed the priority reversed.
-    order = np.lexsort(tuple(arr[:, c] for c in reversed(columns)))
-    return _rows(np, arr[order])
-
 
 def merge_two_unkeyed(
     left: Iterable[Record], right: Iterable[Record]
 ) -> Iterator[Record]:
     """Stable unkeyed two-way merge; ties emit the left stream first.
 
-    Dispatches to the chunked galloping merge when either fast path
-    (numpy kernels or the batch record path) is active, else to the
-    classic two-pointer loop.  Output is identical either way.
-    """
-    if _chunked_active():
-        return _merge_two_chunked(left, right)
-    return _merge_two_scalar(left, right)
-
-
-def _merge_two_chunked(
-    left: Iterable[Record], right: Iterable[Record]
-) -> Iterator[Record]:
-    """Record-stream view of :func:`_merge_two_batches`.
-
+    A record-stream view of :func:`_merge_two_batches`:
     ``chain.from_iterable`` flattens the batches in C — one generator
     resumption per chunk instead of per record, which is worth ~40% of
     the whole merge at :data:`MERGE_CHUNK` scale.
     """
     return chain.from_iterable(_merge_two_batches(iter(left), iter(right)))
-
-
-def _merge_two_scalar(
-    left: Iterable[Record], right: Iterable[Record]
-) -> Iterator[Record]:
-    """The classic stable two-pointer merge (the scalar reference)."""
-    left = iter(left)
-    right = iter(right)
-    l = next(left, _DONE)
-    r = next(right, _DONE)
-    while l is not _DONE and r is not _DONE:
-        if r < l:  # type: ignore[operator]
-            yield r
-            r = next(right, _DONE)
-        else:
-            yield l
-            l = next(left, _DONE)
-    while l is not _DONE:
-        yield l
-        l = next(left, _DONE)
-    while r is not _DONE:
-        yield r
-        r = next(right, _DONE)
 
 
 def _fill(stream: Iterator[Record]) -> List[Record]:
@@ -262,52 +110,13 @@ def merge_two_keyed(
     """Stable keyed two-way merge; ties (equal keys) emit the left stream
     first.
 
-    Same dispatch as :func:`merge_two_unkeyed`: the chunked galloping
-    merge when either fast path is active (``sorted(key=...)``
-    decorates in C, so a cheap key like an ``itemgetter`` never enters
-    the interpreter loop), else the classic two-pointer loop that
-    computes each key exactly once.
+    The chunked merge of :func:`merge_two_unkeyed` with every comparison
+    routed through ``key`` (``sorted(key=...)`` decorates in C, so a cheap
+    key like an ``itemgetter`` never enters the interpreter loop).
     """
-    if _chunked_active():
-        return chain.from_iterable(
-            _merge_two_keyed_batches(iter(left), iter(right), key)
-        )
-    return _merge_two_keyed_scalar(left, right, key)
-
-
-def _merge_two_keyed_scalar(
-    left: Iterable[Record], right: Iterable[Record], key: KeyFn
-) -> Iterator[Record]:
-    """The classic stable keyed two-pointer merge (the scalar reference).
-
-    Like :func:`heapq.merge`, the key is computed once per record.
-    """
-    left = iter(left)
-    right = iter(right)
-    l = next(left, _DONE)
-    r = next(right, _DONE)
-    if l is not _DONE and r is not _DONE:
-        lk = key(l)
-        rk = key(r)
-        while True:
-            if rk < lk:  # type: ignore[operator]
-                yield r
-                r = next(right, _DONE)
-                if r is _DONE:
-                    break
-                rk = key(r)
-            else:
-                yield l
-                l = next(left, _DONE)
-                if l is _DONE:
-                    break
-                lk = key(l)
-    while l is not _DONE:
-        yield l
-        l = next(left, _DONE)
-    while r is not _DONE:
-        yield r
-        r = next(right, _DONE)
+    return chain.from_iterable(
+        _merge_two_keyed_batches(iter(left), iter(right), key)
+    )
 
 
 def _merge_two_keyed_batches(

@@ -2,25 +2,15 @@
 
 Every reachability round in the FW-BW family is, at heart, the same
 operation: scan the edge file once and OR frontier marks across edges
-whose endpoints share an unresolved partition.  The solvers differ only
-in *when* staged marks become visible:
+whose endpoints share an unresolved partition.  Marks stage against the
+*block-start* state and apply at each block boundary
+(:meth:`ReachabilityKernel.relax_to_fixpoint`,
+:meth:`ReachabilityKernel.relax_masks_to_fixpoint`): marks from earlier
+blocks are visible to later blocks of the same scan, but the outcome
+does not depend on edge order *within* a block — which is exactly the
+granularity a bulk boolean-mask OR can reproduce bit-for-bit.
 
-* **scan-granular (Jacobi)** — marks stage against the scan-start state
-  and apply after the full scan (:meth:`ReachabilityKernel.stage_pass`).
-  Staging is a commutative OR, so shards of one scan may stage in any
-  order; :mod:`~repro.semi_external.parallel_fw_bw` builds on this.
-* **block-granular** — marks stage against the *block-start* state and
-  apply at each block boundary
-  (:meth:`ReachabilityKernel.relax_to_fixpoint`,
-  :meth:`ReachabilityKernel.relax_masks_to_fixpoint`).  Marks from
-  earlier blocks are visible to later blocks of the same scan, so a scan
-  propagates further than a Jacobi scan, but the outcome no longer
-  depends on edge order *within* a block — which is exactly the
-  granularity a bulk boolean-mask OR can reproduce bit-for-bit.
-
-Both granularities reach the same fixpoint (reachability closure is
-schedule-independent); only the number of charged scans differs.  The
-numpy and scalar implementations of each method are mark-for-mark
+The numpy and scalar implementations of each method are mark-for-mark
 identical — same staged bits, same round counts, same ledger — which the
 kernel equivalence suite pins on random graphs.
 
@@ -67,23 +57,7 @@ class ReachabilityKernel:
         has_out: bytearray,
     ) -> None:
         """Trim marking: for every edge inside a live partition, set
-        ``has_out`` on the source and ``has_in`` on the target.  Pure OR —
-        safe to call once per shard against shared buffers."""
-        raise NotImplementedError
-
-    def stage_pass(
-        self,
-        blocks: Iterable[Block],
-        part: List[int],
-        active: Set[int],
-        fwd: bytearray,
-        bwd: bytearray,
-        new_fwd: bytearray,
-        new_bwd: bytearray,
-    ) -> None:
-        """One Jacobi staging pass: read ``fwd``/``bwd`` (the previous
-        round's bits), OR staged marks into ``new_fwd``/``new_bwd``.
-        Never reads the staging buffers, so shards may run concurrently."""
+        ``has_out`` on the source and ``has_in`` on the target."""
         raise NotImplementedError
 
     def relax_to_fixpoint(
@@ -138,20 +112,6 @@ class _ScalarReachability(ReachabilityKernel):
                     continue
                 has_out[iu] = 1
                 has_in[iv] = 1
-
-    def stage_pass(self, blocks, part, active, fwd, bwd, new_fwd, new_bwd):
-        index = self._index
-        for block in blocks:
-            for u, v in block:
-                iu = index[u]
-                iv = index[v]
-                pu = part[iu]
-                if pu == RESOLVED or pu != part[iv] or pu not in active:
-                    continue
-                if fwd[iu] and not fwd[iv]:
-                    new_fwd[iv] = 1
-                if bwd[iv] and not bwd[iu]:
-                    new_bwd[iu] = 1
 
     def relax_to_fixpoint(self, scan_blocks, part, active, fwd, bwd):
         index = self._index
@@ -293,25 +253,6 @@ class _NumpyReachability(ReachabilityKernel):
             has_out[i] = 1
         for i in np.nonzero(in_np)[0].tolist():
             has_in[i] = 1
-
-    def stage_pass(self, blocks, part, active, fwd, bwd, new_fwd, new_bwd):
-        np = self._np
-        parr, lookup = self._active_lookup(part, active)
-        fwd_np = np.frombuffer(bytes(fwd), dtype=np.uint8).astype(bool)
-        bwd_np = np.frombuffer(bytes(bwd), dtype=np.uint8).astype(bool)
-        staged_f = np.zeros(self.n, dtype=bool)
-        staged_b = np.zeros(self.n, dtype=bool)
-        for block in blocks:
-            iu, iv = self._decode(block)
-            if iu is None:
-                continue
-            iu, iv = self._eligible(iu, iv, parr, lookup)
-            staged_f[iv[fwd_np[iu] & ~fwd_np[iv]]] = True
-            staged_b[iu[bwd_np[iv] & ~bwd_np[iu]]] = True
-        for i in np.nonzero(staged_f)[0].tolist():
-            new_fwd[i] = 1
-        for i in np.nonzero(staged_b)[0].tolist():
-            new_bwd[i] = 1
 
     def relax_to_fixpoint(self, scan_blocks, part, active, fwd, bwd):
         np = self._np

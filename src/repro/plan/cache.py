@@ -28,7 +28,11 @@ from typing import Dict, Optional
 
 __all__ = ["PlanCache", "PLAN_CACHE_SCHEMA_VERSION"]
 
-PLAN_CACHE_SCHEMA_VERSION = 1
+PLAN_CACHE_SCHEMA_VERSION = 2
+"""Version of the persisted JSON; a file of any other version loads empty.
+Version 2 dropped the ``processes`` executor and the ``coloring`` /
+``parallel-fw-bw`` solvers from the knob grid.  The cache key does not
+name the grid, so a version-1 file could replay a decision naming one."""
 
 
 class PlanCache:

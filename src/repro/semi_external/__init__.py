@@ -1,10 +1,16 @@
 """Semi-external SCC solvers: all node state in memory (``c*|V| <= M``),
 edges streamed from disk with sequential scans only.
 
-The spanning-tree solver reproduces the mechanism of the paper's Semi-SCC
-substrate (1PB-SCC [26]); FW-BW and coloring are independent
-implementations used to cross-check it and offered as alternates through
-:data:`SEMI_SCC_SOLVERS`.
+Three solvers are registered in :data:`SEMI_SCC_SOLVERS`:
+
+* ``spanning-tree`` — the mechanism of the paper's Semi-SCC substrate
+  (1PB-SCC [26]) and the default;
+* ``forward-backward`` — the simplest independent implementation, kept
+  as the oracle that cross-checks it;
+* ``multi-bfs`` — batched multi-source reachability (Wang et al.), kept
+  until a paired wall-time measurement decides it.
+
+All three return identical canonical labels (min member per SCC).
 """
 
 from typing import Callable, Dict, Iterable, Optional
@@ -15,10 +21,8 @@ from repro.io.blocks import BlockDevice
 from repro.io.codecs import RecordStore, record_file_from_records
 from repro.io.memory import MemoryBudget
 from repro.plan import ExtPlan, Materialize, Rewrite, Scan
-from repro.semi_external.coloring import coloring_scc
 from repro.semi_external.forward_backward import forward_backward_scc
 from repro.semi_external.multi_bfs import multi_bfs_scc
-from repro.semi_external.parallel_fw_bw import parallel_fw_bw_scc
 from repro.semi_external.semi_kosaraju import semi_kosaraju_scc
 from repro.semi_external.spanning_tree import SpanningTreeStats, spanning_tree_scc
 from repro.semi_external.union_find import UnionFind
@@ -27,8 +31,6 @@ __all__ = [
     "spanning_tree_scc",
     "forward_backward_scc",
     "multi_bfs_scc",
-    "parallel_fw_bw_scc",
-    "coloring_scc",
     "semi_kosaraju_scc",
     "SpanningTreeStats",
     "UnionFind",
@@ -50,9 +52,7 @@ SemiSCCSolver = Callable[..., Dict[int, int]]
 SEMI_SCC_SOLVERS: Dict[str, SemiSCCSolver] = {
     "spanning-tree": spanning_tree_scc,
     "forward-backward": forward_backward_scc,
-    "parallel-fw-bw": parallel_fw_bw_scc,
     "multi-bfs": multi_bfs_scc,
-    "coloring": coloring_scc,
 }
 """Scan-only semi-external solvers by name; ``"spanning-tree"`` is the
 default Semi-SCC used by Ext-SCC (mirrors the paper's choice of 1PB-SCC).

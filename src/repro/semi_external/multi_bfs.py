@@ -8,9 +8,8 @@ scans: batch S sources, give every node one reachability *bit per source*,
 and propagate all S frontiers in the same sweep.  This solver restates
 that idea in the semi-external model:
 
-* **Trim rounds** — identical to
-  :mod:`~repro.semi_external.parallel_fw_bw`: nodes with no in- or no
-  out-edge inside their partition resolve as singletons, to a fixpoint.
+* **Trim rounds** — nodes with no in- or no out-edge inside their
+  partition resolve as singletons, to a fixpoint.
 * **Batched pivot rounds** — every active partition nominates up to S
   pivots (its S smallest node ids); pivot ``c`` of a partition owns bit
   ``c`` of that partition's nodes' forward/backward masks.  Columns are
@@ -115,7 +114,7 @@ def multi_bfs_scc(
 
     active = {0}
 
-    # Trim rounds (same as parallel-fw-bw): dead-end nodes are singleton
+    # Trim rounds: dead-end nodes are singleton
     # SCCs; resolving them up front removes their edges from every later
     # reachability scan.
     while True:

@@ -60,3 +60,33 @@ def random_edges(num_nodes: int, num_edges: int, seed: int,
             continue
         edges.append((u, v))
     return edges
+
+
+def reference_blocks(codec, records: Sequence[tuple], block_size: int):
+    """The per-record reference encoder behind ``CompressedRecordFile``.
+
+    Each record is priced against its predecessor; a record that overflows
+    the open block is re-priced as a block start (the gap chain restarts)
+    and opens a new block only if it still overflows.  Returns
+    ``(blocks, stored_bytes)`` — what one ``append`` per record lays out —
+    computed without the library's batch walk, so tests can hold
+    ``extend`` to it.
+    """
+    blocks: List[List[tuple]] = []
+    block: List[tuple] = []
+    tail = stored = 0
+    prev = None
+    for record in records:
+        nbytes = codec.encoded_size(record, prev)
+        if tail + nbytes > block_size:
+            nbytes = codec.encoded_size(record, None)
+            if tail + nbytes > block_size:
+                blocks.append(block)
+                block, tail = [], 0
+        block.append(record)
+        tail += nbytes
+        stored += nbytes
+        prev = record
+    if block:
+        blocks.append(block)
+    return blocks, stored

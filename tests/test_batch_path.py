@@ -1,4 +1,5 @@
-"""Batch record path ≡ scalar path: the block-granularity equivalence suite.
+"""Batch record path ≡ per-record reference: the block-granularity
+equivalence suite.
 
 The batch APIs (``Codec.encoded_sizes`` / ``encode_block`` /
 ``decode_block``, ``CompressedRecordFile.extend``'s greedy block walk,
@@ -6,22 +7,21 @@ The batch APIs (``Codec.encoded_sizes`` / ``encode_block`` /
 fill) exist purely to cut host-CPU overhead; they must never change what
 is *computed*.  This suite pins the contract at every layer:
 
-* file layer — batch ``extend`` produces byte-identical files (block
-  cuts, stored bytes, scan output) and an identical I/O ledger to
-  per-record ``append`` loops, for every codec and across
-  ``BATCH_CHUNK`` boundaries;
+* file layer — batch ``extend`` lays out the blocks and stored bytes of
+  the per-record reference encoder (``reference_blocks`` in
+  ``tests/conftest.py``) and leaves the same file and ledger as one
+  ``append`` per record, for every codec and across ``BATCH_CHUNK``
+  boundaries;
 * error paths — an invalid record mid-batch raises the same exception
-  with the same already-committed prefix as the scalar path;
-* pipeline layer — Ext-SCC labels and the full ledger are invariant
-  under ``set_batch_enabled`` for every codec;
-* the optional numpy sizing path agrees exactly with the pure loop.
+  with the same already-committed prefix as the per-record path;
+* pipeline layer — per-phase wall seconds cover the top-level phases.
 """
 
 import random
 
 import pytest
 
-from tests.conftest import reference_sccs
+from tests.conftest import reference_blocks
 
 from repro.core.config import ExtSCCConfig
 from repro.core.ext_scc import ExtSCC
@@ -31,33 +31,14 @@ from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.io.blocks import BlockDevice
 from repro.io.codecs import (
     BATCH_CHUNK,
+    Codec,
     CompressedRecordFile,
     FixedCodec,
     GapVarintCodec,
     VarintCodec,
-    batch_enabled,
-    numpy_enabled,
-    set_batch_enabled,
-    set_numpy_enabled,
 )
 from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-
-
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-@pytest.fixture
-def scalar_mode():
-    """Force the scalar (per-record) path for the duration of a test."""
-    previous = set_batch_enabled(False)
-    yield
-    set_batch_enabled(previous)
 
 
 def _codecs():
@@ -75,27 +56,43 @@ def _random_records(count, seed, span=1 << 20):
             for _ in range(count)]
 
 
+def _write(store, records, batch):
+    """Fill ``store`` with one ``extend`` call, or one ``append`` per record."""
+    if batch:
+        store.extend(records)
+    else:
+        for record in records:
+            store.append(record)
+
+
 def _write_compressed(codec, records, block_size, batch):
     """Write ``records`` through one CompressedRecordFile; return the file
     state and the device's ledger."""
-    previous = set_batch_enabled(batch)
-    try:
-        device = BlockDevice(block_size=block_size)
-        store = CompressedRecordFile(device, "data", 8, codec)
-        store.extend(records)
-        store.close()
-        return {
-            "records": list(store.scan()),
-            "blocks": [list(b) for b in store.scan_blocks()],
-            "stored": store.stored_bytes,
-            "num_blocks": store.num_blocks,
-            "ledger": device.stats.snapshot(),
-            "payload": (device.stats.records_written,
-                        device.stats.bytes_logical,
-                        device.stats.bytes_stored),
-        }
-    finally:
-        set_batch_enabled(previous)
+    device = BlockDevice(block_size=block_size)
+    store = CompressedRecordFile(device, "data", 8, codec)
+    _write(store, records, batch)
+    store.close()
+    return {
+        "records": list(store.scan()),
+        "blocks": [[record for (record,) in block]
+                   for block in store.scan_blocks()],
+        "stored": store.stored_bytes,
+        "num_blocks": store.num_blocks,
+        "ledger": device.stats.snapshot(),
+        "payload": (device.stats.records_written,
+                    device.stats.bytes_logical,
+                    device.stats.bytes_stored),
+    }
+
+
+def _assert_matches_reference(codec, records, block_size, batch_input=None):
+    batch = _write_compressed(
+        codec, records if batch_input is None else batch_input, block_size,
+        batch=True,
+    )
+    assert batch == _write_compressed(codec, records, block_size, batch=False), codec
+    blocks, stored = reference_blocks(codec, records, block_size)
+    assert (batch["blocks"], batch["stored"]) == (blocks, stored), codec
 
 
 class TestFileLayerEquivalence:
@@ -103,25 +100,18 @@ class TestFileLayerEquivalence:
     def test_compressed_file_identical(self, block_size):
         records = _random_records(700, seed=block_size)
         for codec in _codecs():
-            batch = _write_compressed(codec, records, block_size, batch=True)
-            scalar = _write_compressed(codec, records, block_size, batch=False)
-            assert batch == scalar, codec
+            _assert_matches_reference(codec, records, block_size)
 
     def test_sorted_stream_and_generator_input(self):
         records = sorted(_random_records(900, seed=3))
-        codec = GapVarintCodec(8, gap_field=0)
-        batch = _write_compressed(codec, iter(records), 64, batch=True)
-        scalar = _write_compressed(codec, records, 64, batch=False)
-        assert batch == scalar
+        _assert_matches_reference(GapVarintCodec(8, gap_field=0), records, 64,
+                                  batch_input=iter(records))
 
     def test_across_chunk_boundaries(self):
         # More records than one BATCH_CHUNK: the gap chain must carry
-        # across chunk boundaries exactly as the scalar _prev does.
+        # across chunk boundaries exactly as the per-record ``prev`` does.
         records = sorted(_random_records(BATCH_CHUNK + 500, seed=11))
-        codec = GapVarintCodec(8, gap_field=0)
-        batch = _write_compressed(codec, records, 64, batch=True)
-        scalar = _write_compressed(codec, records, 64, batch=False)
-        assert batch == scalar
+        _assert_matches_reference(GapVarintCodec(8, gap_field=0), records, 64)
 
     @pytest.mark.parametrize("as_generator", [False, True])
     def test_external_file_extend_matches_append(self, as_generator):
@@ -147,26 +137,45 @@ class TestFileLayerEquivalence:
             store.extend([(1, 2)])
 
 
+class _ZeroSizedFives(VarintCodec):
+    """Prices the record ``(5, 5)`` at zero bytes, which ``append``
+    rejects; no built-in codec produces a non-positive size."""
+
+    def encoded_size(self, record, prev=None):
+        return 0 if record == (5, 5) else super().encoded_size(record, prev)
+
+    def encoded_sizes(self, records, prev=None):
+        return Codec.encoded_sizes(self, records, prev)
+
+
 class TestErrorPathParity:
-    def _oversized_run(self, batch):
-        """Feed a record whose encoding exceeds the block size mid-stream;
-        return (exception type, committed records, ledger)."""
-        previous = set_batch_enabled(batch)
-        try:
-            device = BlockDevice(block_size=32)
-            store = CompressedRecordFile(device, "data", 8, VarintCodec(8))
-            good = [(i, i) for i in range(10)]
-            bad = (1 << 400, 1 << 400)  # ~116 encoded bytes > the 32-byte block
-            with pytest.raises(StorageError) as excinfo:
-                store.extend(good + [bad] + [(7, 7)])
-            store.close()
-            return (str(excinfo.value), list(store.scan()),
-                    device.stats.snapshot())
-        finally:
-            set_batch_enabled(previous)
+    def _partial_state(self, codec, records, error, batch):
+        """Write ``records``, one of which is invalid; return the message,
+        the committed records and the ledger."""
+        device = BlockDevice(block_size=32)
+        store = CompressedRecordFile(device, "data", 8, codec)
+        with pytest.raises(error) as excinfo:
+            _write(store, records, batch)
+        store.close()
+        return str(excinfo.value), list(store.scan()), device.stats.snapshot()
 
     def test_oversized_record_identical_partial_state(self):
-        assert self._oversized_run(batch=True) == self._oversized_run(batch=False)
+        # (1 << 400, 1 << 400) encodes to ~116 bytes > the 32-byte block.
+        records = [(i, i) for i in range(10)] + [(1 << 400, 1 << 400), (7, 7)]
+        batch, per_record = (
+            self._partial_state(VarintCodec(8), records, StorageError, batch)
+            for batch in (True, False)
+        )
+        assert batch == per_record
+
+    def test_non_positive_size_identical_partial_state(self):
+        records = [(i, i) for i in range(10)]
+        batch, per_record = (
+            self._partial_state(_ZeroSizedFives(8), records, ValueError, batch)
+            for batch in (True, False)
+        )
+        assert batch == per_record
+        assert batch[1] == records[:5]
 
 
 class TestPipelineEquivalence:
@@ -182,67 +191,9 @@ class TestPipelineEquivalence:
         out = ExtSCC(config).run(device, edge_file, memory, nodes=node_file)
         return out, device.stats.snapshot() - before
 
-    @pytest.mark.parametrize("codec", ["fixed", "varint", "gap-varint"])
-    def test_labels_and_ledger_invariant_under_batch_toggle(self, codec):
-        graph = build_dataset("webspam", num_nodes=80, seed=5)
-        edges, n = list(graph.edges), graph.num_nodes
-        batch_out, batch_io = self._run(edges, n, codec)
-        previous = set_batch_enabled(False)
-        try:
-            scalar_out, scalar_io = self._run(edges, n, codec)
-        finally:
-            set_batch_enabled(previous)
-        assert batch_out.result.labels == scalar_out.result.labels
-        assert batch_io == scalar_io
-        assert batch_out.result == reference_sccs(edges, n)
-
     def test_phase_seconds_cover_top_level_phases(self):
         graph = build_dataset("large-scc", num_nodes=80, seed=9)
         out, _ = self._run(list(graph.edges), graph.num_nodes, "gap-varint")
         assert set(out.phase_seconds) >= {"contraction", "semi-scc", "expansion"}
         assert all(seconds >= 0.0 for seconds in out.phase_seconds.values())
         assert sum(out.phase_seconds.values()) <= out.wall_seconds + 0.25
-
-
-@pytest.mark.skipif(not _has_numpy(), reason="numpy not installed")
-class TestNumpySizingPath:
-    def test_sizes_agree_with_pure_loop(self):
-        records = sorted(_random_records(2000, seed=13, span=1 << 40))
-        previous = set_numpy_enabled(True)
-        try:
-            assert numpy_enabled()
-            for codec in _codecs():
-                fast = codec.encoded_sizes(records)
-                with_prev = codec.encoded_sizes(records, records[0])
-                set_numpy_enabled(False)
-                assert codec.encoded_sizes(records) == fast
-                assert codec.encoded_sizes(records, records[0]) == with_prev
-                set_numpy_enabled(True)
-        finally:
-            set_numpy_enabled(previous)
-
-    def test_bigint_fallback(self):
-        # Values beyond int64 overflow numpy's asarray; the sizing must
-        # silently fall back to the pure loop and still be exact.
-        records = [(1 << 100, -(1 << 90))] * 400
-        codec = VarintCodec(8)
-        previous = set_numpy_enabled(True)
-        try:
-            fast = codec.encoded_sizes(records)
-        finally:
-            set_numpy_enabled(previous)
-        expected = []
-        prev = None
-        for record in records:
-            expected.append(codec.encoded_size(record, prev))
-            prev = record
-        assert fast == expected
-
-
-def test_batch_flag_roundtrip():
-    assert batch_enabled()  # the default everywhere outside scalar_mode
-    previous = set_batch_enabled(False)
-    assert previous is True
-    assert not batch_enabled()
-    assert set_batch_enabled(True) is False
-    assert batch_enabled()

@@ -49,11 +49,8 @@ class TestDefaults:
             pytest.approx(100 * DEFAULT_SECONDS_PER_BLOCK)
 
     def test_default_semi_passes(self):
-        assert CalibrationProfile().semi_passes("coloring") == \
+        assert CalibrationProfile().semi_passes("multi-bfs") == \
             DEFAULT_SEMI_PASSES
-
-    def test_default_spawn_overhead_zero(self):
-        assert CalibrationProfile().spawn_seconds("processes") == 0.0
 
     def test_path_convention(self, tmp_path):
         assert calibration_path_for(str(tmp_path)) == \
@@ -101,14 +98,13 @@ class TestWallFit:
     def test_two_samples_fit_affine_intercept(self):
         profile = CalibrationProfile()
         # seconds = 1e-4 * blocks + 0.5 exactly.
-        _ingest(profile, executor="processes", workers=4,
+        _ingest(profile, executor="threads", workers=4,
                 io_total=100, wall_seconds=0.51)
-        _ingest(profile, executor="processes", workers=4,
+        _ingest(profile, executor="threads", workers=4,
                 io_total=1100, wall_seconds=0.61)
-        slope, intercept = profile.wall_constants("processes", 4)
+        slope, intercept = profile.wall_constants("threads", 4)
         assert slope == pytest.approx(1e-4)
         assert intercept == pytest.approx(0.5)
-        assert profile.spawn_seconds("processes") == pytest.approx(0.5)
 
     def test_fallback_nearest_k_same_executor(self):
         profile = CalibrationProfile()
@@ -156,21 +152,21 @@ class TestSemiPassesFit:
         profile = CalibrationProfile()
         scan = CostModel(1024, 1).blocks(500, 8)
         # No byte stats ingested, so the scan is priced at logical widths.
-        _ingest(profile, solver="coloring", bytes_by_width={},
+        _ingest(profile, solver="multi-bfs", bytes_by_width={},
                 semi_io_total=scan * 4, final_edges=500, block_size=1024)
-        assert profile.semi_passes("coloring") == pytest.approx(4.0)
+        assert profile.semi_passes("multi-bfs") == pytest.approx(4.0)
 
     def test_passes_clamped_at_one(self):
         profile = CalibrationProfile()
-        _ingest(profile, solver="coloring", semi_io_total=1,
+        _ingest(profile, solver="multi-bfs", semi_io_total=1,
                 final_edges=10_000, block_size=1024)
-        assert profile.semi_passes("coloring") >= 1.0
+        assert profile.semi_passes("multi-bfs") >= 1.0
 
     def test_skipped_without_block_size(self):
         profile = CalibrationProfile()
-        _ingest(profile, solver="coloring", semi_io_total=100,
+        _ingest(profile, solver="multi-bfs", semi_io_total=100,
                 final_edges=500, block_size=None)
-        assert profile.semi_passes("coloring") == DEFAULT_SEMI_PASSES
+        assert profile.semi_passes("multi-bfs") == DEFAULT_SEMI_PASSES
 
 
 class TestVersion:

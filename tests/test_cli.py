@@ -237,6 +237,20 @@ class TestVerify:
         assert main(["verify", str(edge_path), str(bad)]) == 1
         assert "MISMATCH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, token", [("1 x", "'x'"), ("1", "'1'")])
+    def test_malformed_labels_line_is_input_error(self, workload, tmp_path,
+                                                  capsys, line, token):
+        edge_path, labels_path = workload
+        lines = labels_path.read_text().splitlines()
+        lines[2] = line
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(edge_path), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}:3: ")
+        assert token in err
+
 
 class TestExplain:
     def test_feasible_plan(self, capsys):
@@ -445,10 +459,9 @@ class TestAutotuneCli:
         assert len(planning) == 1
 
 
-class TestProcessesExecutorCli:
-    """``--executor processes`` is a first-class choice: accepted where the
-    platform can fork/spawn, rejected with a clear message (exit 2, not a
-    crash) where it cannot."""
+class TestExecutorCli:
+    """``--executor`` takes ``serial`` or ``threads``, and ``--solver`` the
+    registered solvers; the deleted choices are usage errors (exit 2)."""
 
     @pytest.fixture
     def edge_path(self, tmp_path):
@@ -456,23 +469,17 @@ class TestProcessesExecutorCli:
         write_edge_text(path, cycle_graph(20).edges)
         return path
 
-    def test_accepted_when_available(self, edge_path, capsys, monkeypatch):
-        from repro.io import parallel
-
-        monkeypatch.setattr(parallel, "_processes_override", True)
-        assert main(["scc", str(edge_path), "-m", "16K",
-                     "--executor", "processes"]) == 0
-
-    @pytest.mark.parametrize("command", ["scc", "bench"])
-    def test_rejected_when_unavailable(self, edge_path, capsys, monkeypatch,
-                                       command):
-        from repro.io import parallel
-
-        monkeypatch.setattr(parallel, "_processes_override", False)
-        code = main([command, str(edge_path), "--executor", "processes"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "processes" in err and "unavailable" in err
+    @pytest.mark.parametrize("argv", [
+        ["scc", "--executor", "processes"],
+        ["bench", "--executor", "processes"],
+        ["scc", "--solver", "coloring"],
+        ["scc", "--solver", "parallel-fw-bw"],
+    ], ids=["scc-processes", "bench-processes", "coloring", "parallel-fw-bw"])
+    def test_removed_choice_is_usage_error(self, edge_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([argv[0], str(edge_path), *argv[1:]])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_verbose_scc_reports_wall_by_phase(self, edge_path, capsys):
         assert main(["scc", str(edge_path), "-m", "300", "-b", "64",

@@ -187,7 +187,7 @@ class TestDriverBehaviour:
     def test_all_semi_solvers_supported(self):
         edges = random_edges(40, 90, seed=3)
         reference = reference_sccs(edges, 40)
-        for solver in ("spanning-tree", "forward-backward", "coloring"):
+        for solver in ("spanning-tree", "forward-backward", "multi-bfs"):
             out = compute_sccs(edges, num_nodes=40, memory_bytes=400,
                                block_size=64,
                                config=ExtSCCConfig(semi_scc=solver))

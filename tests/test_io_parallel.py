@@ -39,6 +39,9 @@ from repro.io.stats import IOStats
 
 
 class TestWorkerPool:
+    def test_backends_tuple(self):
+        assert EXECUTOR_BACKENDS == ("serial", "threads")
+
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_run_preserves_submission_order(self, backend):
         pool = WorkerPool(workers=4, backend=backend)
@@ -399,90 +402,3 @@ class TestUidKeys:
             f.delete()
             del f
             gc.collect()
-
-
-# -- processes backend -------------------------------------------------------
-
-
-def _square(value):
-    """Module-level so the processes backend can pickle it."""
-    return value * value
-
-
-class TestProcessesBackend:
-    def test_backends_tuple(self):
-        assert EXECUTOR_BACKENDS == ("serial", "threads", "processes")
-
-    def test_run_pure_preserves_submission_order(self):
-        pool = WorkerPool(workers=2, backend="processes")
-        try:
-            assert pool.run_pure(_square, [(i,) for i in range(10)]) == [
-                i * i for i in range(10)
-            ]
-        finally:
-            pool.close()
-
-    @pytest.mark.parametrize("backend", ["serial", "threads"])
-    def test_run_pure_is_inline_for_other_backends(self, backend):
-        pool = WorkerPool(workers=4, backend=backend)
-        try:
-            assert pool.run_pure(_square, [(3,), (4,)]) == [9, 16]
-        finally:
-            pool.close()
-
-    def test_run_pure_empty_tasks(self):
-        pool = WorkerPool(workers=2, backend="processes")
-        try:
-            assert pool.run_pure(_square, []) == []
-        finally:
-            pool.close()
-
-    def test_generic_thunks_run_on_threads(self):
-        # Thunks closing over local state cannot be pickled; the processes
-        # backend must still run them (on its thread executor).
-        state = []
-        pool = WorkerPool(workers=2, backend="processes")
-        try:
-            results = pool.run([lambda i=i: (state.append(i), i)[1]
-                                for i in range(6)])
-            assert results == list(range(6))
-            assert sorted(state) == list(range(6))
-        finally:
-            pool.close()
-
-    def test_unavailable_platform_warns_once_then_runs_inline(self):
-        from repro.io.parallel import set_processes_available
-        import warnings as warnings_mod
-
-        previous = set_processes_available(False)
-        pool = WorkerPool(workers=2, backend="processes")
-        try:
-            with pytest.warns(RuntimeWarning, match="processes executor"):
-                assert pool.run_pure(_square, [(3,)]) == [9]
-            with warnings_mod.catch_warnings():
-                warnings_mod.simplefilter("error")
-                assert pool.run_pure(_square, [(4,)]) == [16]  # no 2nd warning
-        finally:
-            set_processes_available(previous)
-            pool.close()
-
-    def test_close_keeps_pool_usable(self):
-        pool = WorkerPool(workers=2, backend="processes")
-        try:
-            assert pool.run_pure(_square, [(2,)]) == [4]
-            pool.close()
-            assert pool.run_pure(_square, [(5,)]) == [25]
-            assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
-        finally:
-            pool.close()
-
-    def test_processes_available_override_roundtrip(self):
-        from repro.io.parallel import processes_available, set_processes_available
-
-        previous = set_processes_available(True)
-        try:
-            assert processes_available()
-            set_processes_available(False)
-            assert not processes_available()
-        finally:
-            set_processes_available(previous)

@@ -1,17 +1,15 @@
-"""The vectorized kernel layer (`repro.kernels`) and its equivalence
-contracts.
+"""The kernel layer (`repro.kernels`) and its equivalence contracts.
 
 Three families of guarantees, each pinned on random inputs:
 
 * **Solver agreement** — ``multi-bfs`` produces canonical labels identical
-  to ``forward-backward`` and ``parallel-fw-bw`` (and the Tarjan oracle)
-  on random multigraphs.
-* **Numpy/scalar equivalence** — with the numpy path on, every semi
-  solver produces byte-identical labels *and* a byte-identical I/O ledger
-  (same scans, same rounds) as with it off; likewise the sort/merge
-  kernels produce identical record sequences, stability included.
-* **Flag centralization** — ``repro.kernels`` is the single home of
-  ``REPRO_NUMPY``; the codec layer's ``numpy_enabled`` view follows it,
+  to ``forward-backward`` (and the Tarjan oracle) on random multigraphs.
+* **Reference equivalence** — with the numpy reachability kernel on,
+  every semi solver produces byte-identical labels *and* a byte-identical
+  I/O ledger (same scans, same rounds) as with it off; the chunked merges
+  produce exactly the record sequences of the two-pointer merge kept here
+  as the reference, stability included.
+* **The flag** — ``repro.kernels`` is the single home of ``REPRO_NUMPY``,
   and the fallback reason distinguishes "off" from "requested but numpy
   missing".
 
@@ -30,9 +28,7 @@ from repro import kernels
 from repro.core.result import SCCResult
 from repro.graph.edge_file import EdgeFile
 from repro.io.blocks import BlockDevice
-from repro.io.codecs import numpy_enabled, set_numpy_enabled
 from repro.io.memory import MemoryBudget
-from repro.kernels.merge import _merge_two_keyed_scalar, _merge_two_scalar
 from repro.semi_external import SEMI_SCC_SOLVERS
 from repro.semi_external.multi_bfs import MAX_SOURCES, multi_bfs_scc, source_budget
 
@@ -60,6 +56,39 @@ SETTINGS = settings(
 )
 
 
+_DONE = object()
+
+
+def _two_pointer_merge(left, right, key=lambda record: record):
+    """The classic stable two-pointer merge (ties emit the left stream
+    first; like :func:`heapq.merge`, the key is computed once per record):
+    the reference the chunked merges must equal record for record."""
+    left, right = iter(left), iter(right)
+    out = []
+    l = next(left, _DONE)
+    r = next(right, _DONE)
+    if l is not _DONE and r is not _DONE:
+        lk, rk = key(l), key(r)
+        while True:
+            if rk < lk:
+                out.append(r)
+                r = next(right, _DONE)
+                if r is _DONE:
+                    break
+                rk = key(r)
+            else:
+                out.append(l)
+                l = next(left, _DONE)
+                if l is _DONE:
+                    break
+                lk = key(l)
+    for pending, stream in ((l, left), (r, right)):
+        if pending is not _DONE:
+            out.append(pending)
+            out.extend(stream)
+    return out
+
+
 def _edge_file(edges, name="E", block_size=64):
     device = BlockDevice(block_size=block_size)
     return EdgeFile.from_edges(device, name, edges)
@@ -83,7 +112,7 @@ class TestSolverAgreement:
     @given(edges_strategy)
     def test_multi_bfs_matches_fw_bw_family(self, edges):
         reference = reference_sccs(edges, N_NODES)
-        for name in ("multi-bfs", "forward-backward", "parallel-fw-bw"):
+        for name in ("multi-bfs", "forward-backward"):
             edge_file = _edge_file(edges, name)
             labels = SEMI_SCC_SOLVERS[name](edge_file, range(N_NODES))
             assert SCCResult(labels) == reference, name
@@ -112,74 +141,49 @@ class TestNumpyScalarEquivalence:
 
     @SETTINGS
     @given(left=records_strategy, right=records_strategy)
-    def test_merge_two_unkeyed_identical(self, numpy_toggle, left, right):
+    def test_merge_two_unkeyed_identical(self, left, right):
         left.sort()
         right.sort()
-        expected = list(_merge_two_scalar(iter(left), iter(right)))
-        kernels.set_enabled(True)
+        expected = _two_pointer_merge(left, right)
         merged = list(kernels.merge_two_unkeyed(iter(left), iter(right)))
         assert merged == expected
 
     @SETTINGS
     @given(left=records_strategy, right=records_strategy)
-    def test_merge_two_keyed_identical(self, numpy_toggle, left, right):
+    def test_merge_two_keyed_identical(self, left, right):
         key = lambda r: r[1]  # noqa: E731 - many ties exercise stability
         left.sort(key=key)
         right.sort(key=key)
-        expected = list(_merge_two_keyed_scalar(iter(left), iter(right), key))
-        kernels.set_enabled(True)
+        expected = _two_pointer_merge(left, right, key)
         merged = list(kernels.merge_two_keyed(iter(left), iter(right), key))
         assert merged == expected
 
-    def test_merge_two_keyed_tie_chunk_boundaries(self, numpy_toggle):
+    def test_merge_two_keyed_tie_chunk_boundaries(self):
         # Every record shares one key: the whole merge is one tie run
         # spanning several chunk refills, and the left stream must still
         # drain before the right one.
         key = lambda r: r[0]  # noqa: E731
         left = [(0, "l", i) for i in range(2 * kernels.MERGE_CHUNK + 3)]
         right = [(0, "r", i) for i in range(kernels.MERGE_CHUNK + 9)]
-        expected = list(_merge_two_keyed_scalar(iter(left), iter(right), key))
-        kernels.set_enabled(True)
+        expected = _two_pointer_merge(left, right, key)
         assert list(kernels.merge_two_keyed(iter(left), iter(right), key)) == expected
 
-    @SETTINGS
-    @given(records=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50))))
-    def test_sort_records_identical(self, numpy_toggle, records):
-        expected = sorted(records)
-        kernels.set_enabled(True)
-        assert kernels.sort_records(list(records)) == expected
-        assert (
-            kernels.sort_records(
-                list(records),
-                key=lambda r: (r[1], r[0]),
-                columns=(1, 0),
-            )
-            == sorted(records, key=lambda r: (r[1], r[0]))
-        )
-
-    def test_merge_chunk_boundaries_and_ties(self, numpy_toggle):
+    def test_merge_chunk_boundaries_and_ties(self):
         # Force several refill cycles with heavy cross-stream ties: the
         # boundary-retention rule must reproduce ties-left-first exactly.
         left = sorted((i % 5, i % 3) for i in range(3 * kernels.MERGE_CHUNK))
         right = sorted((i % 5, i % 2) for i in range(2 * kernels.MERGE_CHUNK + 7))
-        expected = list(_merge_two_scalar(iter(left), iter(right)))
-        kernels.set_enabled(True)
+        expected = _two_pointer_merge(left, right)
         assert list(kernels.merge_two_unkeyed(iter(left), iter(right))) == expected
 
-    def test_merge_bigint_midstream(self, numpy_toggle):
+    def test_merge_bigint_midstream(self):
         # A record beyond int64 appears mid-stream: the chunked merge
         # compares records as Python objects, so nothing is lost or
         # reordered (and no int64 bail-out is needed).
         left = [(i, 0) for i in range(600)] + [(1 << 80, 0)]
         right = [(i, 1) for i in range(500)]
-        expected = list(_merge_two_scalar(iter(left), iter(right)))
-        kernels.set_enabled(True)
+        expected = _two_pointer_merge(left, right)
         assert list(kernels.merge_two_unkeyed(iter(left), iter(right))) == expected
-
-    def test_sort_records_bigint_fallback(self, numpy_toggle):
-        kernels.set_enabled(True)
-        records = [(1 << 90, i) for i in range(2000, 0, -1)]
-        assert kernels.sort_records(list(records)) == sorted(records)
 
 
 class TestSourceBudget:
@@ -209,15 +213,6 @@ class TestSourceBudget:
 
 
 class TestFlagCentralization:
-    def test_codecs_view_follows_kernels(self, numpy_toggle):
-        kernels.set_enabled(True)
-        assert numpy_enabled() == kernels.available()
-        kernels.set_enabled(False)
-        assert not numpy_enabled()
-        # And the reverse direction: the codec setter is the same flag.
-        assert set_numpy_enabled(True) is False
-        assert kernels.requested()
-
     def test_fallback_reason_states(self, numpy_toggle):
         kernels.set_enabled(False)
         assert "not requested" in kernels.fallback_reason()

@@ -27,7 +27,7 @@ from repro.analysis.planner import (
 from repro.core import ExtSCCConfig, compute_sccs
 from repro.graph.generators import cycle_graph
 from repro.io.codecs import CODECS
-from repro.io.parallel import EXECUTOR_BACKENDS, processes_available
+from repro.io.parallel import EXECUTOR_BACKENDS
 from repro.plan import PlanCache
 from repro.semi_external import SEMI_SCC_SOLVERS
 
@@ -56,7 +56,7 @@ def _calibrated_profile() -> CalibrationProfile:
     )
     profile._ingest_measurements(
         codec="fixed", executor="threads", workers=4,
-        solver="coloring", bytes_by_width={8: (1000, 8000)},
+        solver="forward-backward", bytes_by_width={8: (1000, 8000)},
         io_total=1000, wall_seconds=0.02,
     )
     return profile
@@ -65,18 +65,16 @@ def _calibrated_profile() -> CalibrationProfile:
 class TestEnumerateKnobs:
     def test_covers_full_grid(self):
         knobs = set(enumerate_knobs())
-        executors = [
-            e for e in EXECUTOR_BACKENDS
-            if e != "processes" or processes_available()
-        ]
         expected = {
             (codec, workers, executor, solver)
             for codec in CODECS
             for solver in SEMI_SCC_SOLVERS
-            for executor in executors
+            for executor in EXECUTOR_BACKENDS
             for workers in WORKER_OPTIONS
         }
         assert knobs == expected
+        # 3 codecs x 3 solvers x 2 executors x 4 worker counts.
+        assert len(enumerate_knobs()) == 72
 
     def test_deterministic_order(self):
         assert enumerate_knobs() == enumerate_knobs()
@@ -170,6 +168,23 @@ class TestCacheByteIdentity:
         payload = json.loads(json.dumps(decision.to_payload()))
         rebuilt = TuningDecision.from_payload(payload)
         assert rebuilt.to_payload() == decision.to_payload()
+
+    def test_schema_1_file_naming_a_deleted_solver_loads_empty(self, tmp_path):
+        """A cache saved before the knob grid shrank (schema 1) can name a
+        solver that no longer exists under the very key a new search
+        computes; it must load empty so the search re-runs."""
+        cold = autotune_config(5_000, 20_000, 64 * 1024, 1024)
+        stale = cold.to_payload()
+        stale["candidates"][stale["chosen"]]["solver"] = "coloring"
+        path = tmp_path / "plans.json"
+        path.write_text(json.dumps(
+            {"schema": 1, "entries": {cold.cache_key: stale}}
+        ))
+        cache = PlanCache(str(path))
+        assert len(cache) == 0
+        decision = autotune_config(5_000, 20_000, 64 * 1024, 1024, cache=cache)
+        assert not decision.cache_hit
+        assert decision.chosen.solver in SEMI_SCC_SOLVERS
 
 
 class TestDecisionSurface:

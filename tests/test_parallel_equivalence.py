@@ -158,35 +158,3 @@ class TestResumeAcrossK:
         assert reconfigured.fingerprint() == base.fingerprint()
         # ...but real plan changes still invalidate it.
         assert replace(base, codec="fixed").fingerprint() != base.fingerprint()
-
-
-class TestProcessesExecutor:
-    """The ``processes`` backend must be observably identical to
-    ``serial``: generic shard thunks run on threads (they close over the
-    simulated device), and the pure-CPU kernels it can offload are
-    deterministic sorts — so labels and the full ledger match at every K.
-    """
-
-    @SETTINGS
-    @given(family_strategy, nodes_strategy, seed_strategy)
-    def test_processes_executor_matches_serial(self, family, num_nodes, seed):
-        edges, n = _workload(family, num_nodes, seed)
-        serial_out, serial_io = _run(edges, n, workers=1, executor="serial")
-        for workers in WORKER_COUNTS:
-            out, io = _run(edges, n, workers=workers, executor="processes")
-            assert out.result.labels == serial_out.result.labels, workers
-            assert io == serial_io, workers
-            assert out.num_iterations == serial_out.num_iterations, workers
-
-    def test_unavailable_platform_falls_back_without_crashing(self):
-        from repro.io.parallel import set_processes_available
-
-        edges, n = _workload("webspam", 60, seed=3)
-        serial_out, serial_io = _run(edges, n, workers=1)
-        previous = set_processes_available(False)
-        try:
-            out, io = _run(edges, n, workers=4, executor="processes")
-        finally:
-            set_processes_available(previous)
-        assert out.result.labels == serial_out.result.labels
-        assert io == serial_io

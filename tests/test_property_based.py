@@ -22,7 +22,7 @@ from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
 from repro.io.sort import external_sort_records
 from repro.memory_scc import gabow_scc, kosaraju_scc, tarjan_scc
-from repro.semi_external import coloring_scc, forward_backward_scc, spanning_tree_scc
+from repro.semi_external import forward_backward_scc, multi_bfs_scc, spanning_tree_scc
 
 N_NODES = 14
 
@@ -61,7 +61,7 @@ class TestSolverAgreement:
     def test_semi_external_solvers_agree_with_tarjan(self, edges):
         device, _, edge_file, _ = fresh_files(edges)
         reference = reference_sccs(edges, N_NODES)
-        for solver in (spanning_tree_scc, forward_backward_scc, coloring_scc):
+        for solver in (spanning_tree_scc, forward_backward_scc, multi_bfs_scc):
             assert SCCResult(solver(edge_file, range(N_NODES))) == reference
 
     @SETTINGS

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import reference_sccs
+from tests.conftest import reference_blocks, reference_sccs
 
 from repro.core import ExtSCCConfig, compute_sccs
 from repro.io.blocks import BlockDevice
@@ -201,25 +201,22 @@ class TestBatchFileEquivalence:
     @given(records=records_strategy, block_size=st.sampled_from([32, 64, 128]))
     @SETTINGS
     def test_extend_matches_append(self, records, block_size):
-        from repro.io.codecs import CompressedRecordFile, set_batch_enabled
+        from repro.io.codecs import CompressedRecordFile
 
         for codec in codecs_under_test():
-            batch_dev = BlockDevice(block_size=block_size)
-            batch_file = CompressedRecordFile(batch_dev, "b", 8, codec)
-            batch_file.extend(records)
-            batch_file.close()
-
-            previous = set_batch_enabled(False)
-            try:
-                scalar_dev = BlockDevice(block_size=block_size)
-                scalar_file = CompressedRecordFile(scalar_dev, "s", 8, codec)
-                scalar_file.extend(records)
-                scalar_file.close()
-            finally:
-                set_batch_enabled(previous)
-
-            assert list(batch_file.scan()) == list(scalar_file.scan())
-            assert ([list(b) for b in batch_file.scan_blocks()]
-                    == [list(b) for b in scalar_file.scan_blocks()])
-            assert batch_file.stored_bytes == scalar_file.stored_bytes
-            assert batch_dev.stats.snapshot() == scalar_dev.stats.snapshot()
+            blocks, stored = reference_blocks(codec, records, block_size)
+            ledgers = []
+            for batch in (True, False):
+                device = BlockDevice(block_size=block_size)
+                store = CompressedRecordFile(device, "data", 8, codec)
+                if batch:
+                    store.extend(records)
+                else:
+                    for record in records:
+                        store.append(record)
+                store.close()
+                assert [[record for (record,) in block]
+                        for block in store.scan_blocks()] == blocks
+                assert store.stored_bytes == stored
+                ledgers.append(device.stats.snapshot())
+            assert ledgers[0] == ledgers[1]

@@ -1,12 +1,11 @@
-"""Tests for variable-record files and gap-compressed edge storage."""
+"""Tests for variable-record files and the codec-compressed pipeline
+built on them."""
 
 import pytest
 
 from tests.conftest import random_edges
 
 from repro.exceptions import StorageError
-from repro.graph.compressed import CompressedEdgeFile
-from repro.graph.edge_file import EdgeFile
 from repro.io.varfile import VarRecordFile, varint_size
 
 
@@ -66,72 +65,6 @@ class TestVarRecordFile:
         f.close()
         with pytest.raises(StorageError):
             f.append("x", 4)
-
-
-class TestCompressedEdgeFile:
-    def test_roundtrip_preserves_sorted_edges(self, device, memory):
-        edges = sorted(random_edges(40, 120, seed=0))
-        cf = CompressedEdgeFile.from_sorted_edges(device, "c", edges)
-        assert list(cf.scan()) == edges
-        assert cf.num_edges == 120
-
-    def test_from_edge_file_sorts_first(self, device, memory):
-        edges = random_edges(30, 90, seed=1)
-        ef = EdgeFile.from_edges(device, "e", edges)
-        cf = CompressedEdgeFile.from_edge_file(ef, memory)
-        assert list(cf.scan()) == sorted(edges)
-
-    def test_unsorted_input_rejected(self, device):
-        with pytest.raises(ValueError):
-            CompressedEdgeFile.from_sorted_edges(device, "c", [(5, 0), (1, 0)])
-
-    def test_parallel_edges_preserved(self, device):
-        edges = [(0, 3), (0, 3), (0, 3)]
-        cf = CompressedEdgeFile.from_sorted_edges(device, "c", edges)
-        assert list(cf.scan()) == edges
-
-    def test_adjacency_groups(self, device):
-        edges = [(0, 1), (0, 4), (2, 0)]
-        cf = CompressedEdgeFile.from_sorted_edges(device, "c", edges)
-        assert list(cf.scan_adjacency()) == [(0, (1, 4)), (2, (0,))]
-
-    def test_compression_beats_fixed_width(self, device, memory):
-        """Sorted local ids -> small gaps -> well under 8 bytes/edge."""
-        edges = sorted(random_edges(60, 400, seed=2))
-        cf = CompressedEdgeFile.from_sorted_edges(device, "c", edges)
-        assert cf.compression_ratio > 2.0
-        assert cf.compressed_bytes < cf.uncompressed_bytes
-
-    def test_fewer_scan_ios_than_plain(self, device, memory):
-        edges = sorted(random_edges(60, 400, seed=3))
-        plain = EdgeFile.from_edges(device, "plain", edges)
-        cf = CompressedEdgeFile.from_sorted_edges(device, "comp", edges)
-        before = device.stats.snapshot()
-        assert sum(1 for _ in plain.scan()) == 400
-        plain_cost = (device.stats.snapshot() - before).total
-        before = device.stats.snapshot()
-        assert sum(1 for _ in cf.scan()) == 400
-        comp_cost = (device.stats.snapshot() - before).total
-        assert comp_cost < plain_cost
-
-    def test_empty(self, device):
-        cf = CompressedEdgeFile.from_sorted_edges(device, "c", [])
-        assert list(cf.scan()) == []
-        assert cf.compression_ratio == 1.0
-
-    def test_sequential_io_only(self, device, memory):
-        edges = random_edges(40, 150, seed=4)
-        ef = EdgeFile.from_edges(device, "e", edges)
-        CompressedEdgeFile.from_edge_file(ef, memory)
-        assert device.stats.random == 0
-
-    def test_flipped_matches_dst_sorted_plain(self, device):
-        edges = random_edges(25, 70, seed=5)
-        dst_sorted = sorted(edges, key=lambda e: (e[1], e[0]))
-        cf = CompressedEdgeFile.from_sorted_edges(
-            device, "c", ((v, u) for u, v in dst_sorted), flipped=True
-        )
-        assert list(cf.scan()) == dst_sorted
 
 
 class TestCompressedPipeline:
