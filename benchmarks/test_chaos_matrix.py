@@ -1,5 +1,5 @@
-"""Chaos matrix — fault type × pipeline phase × executor on the Fig. 6
-smoke point, with parity striping (K=2) and the default retry policy.
+"""Chaos matrix — fault type × pipeline phase on the Fig. 6 smoke point,
+with parity striping (K=2) and the default retry policy.
 
 Every cell injects exactly one scheduled fault into a full Ext-SCC-Op run
 and gates on the fault-tolerance contract:
@@ -44,7 +44,6 @@ FAULT_KINDS = (
     "worker-die",
 )
 PHASES = ("contract-1", "semi-scc", "expand-1")
-EXECUTORS = ("serial", "threads")
 
 POLICY = FaultPolicy(max_retries=6, seed=20240808)
 
@@ -55,7 +54,7 @@ def _workload():
     return edges, graph.num_nodes, memory_for_ratio(graph.num_nodes, MEMORY_RATIO)
 
 
-def _run(edges, num_nodes, memory_bytes, executor, schedule=None, policy=None):
+def _run(edges, num_nodes, memory_bytes, schedule=None, policy=None):
     device = StripedDevice(block_size=BLOCK_SIZE, channels=CHANNELS, parity=True)
     if policy is not None:
         device.attach_policy(policy)
@@ -65,8 +64,7 @@ def _run(edges, num_nodes, memory_bytes, executor, schedule=None, policy=None):
     edge_file = EdgeFile.from_edges(device, "edges", edges)
     node_file = NodeFile.from_ids(device, "nodes", range(num_nodes), memory,
                                   presorted=True)
-    config = replace(ExtSCCConfig.optimized(), workers=CHANNELS,
-                     executor=executor)
+    config = replace(ExtSCCConfig.optimized(), workers=CHANNELS)
     out = ExtSCC(config).run(device, edge_file, memory, nodes=node_file)
     return out, device
 
@@ -92,60 +90,59 @@ def _phase_ledgers_match(clean_dev, faulty_dev):
 def _measure():
     edges, num_nodes, memory_bytes = _workload()
     rows = []
-    for executor in EXECUTORS:
-        plain_out, plain_dev = _run(edges, num_nodes, memory_bytes, executor)
-        armed_out, armed_dev = _run(edges, num_nodes, memory_bytes, executor,
-                                    policy=POLICY)
+    plain_out, plain_dev = _run(edges, num_nodes, memory_bytes)
+    armed_out, armed_dev = _run(edges, num_nodes, memory_bytes,
+                                policy=POLICY)
 
-        # Zero-cost-when-armed: the policy alone changes nothing.
-        assert armed_out.result.labels == plain_out.result.labels
-        assert armed_dev.stats.snapshot() == plain_dev.stats.snapshot(), (
-            f"policy-armed {executor} run charged extra I/Os"
-        )
-        assert armed_dev.stats.by_phase == plain_dev.stats.by_phase
-        assert armed_dev.stats.fault_total() == 0
-        rows.append({
-            "executor": executor, "fault": "(none)", "phase": "-",
-            "fired": False, "extra_io": 0, "retry_io": 0, "repair_io": 0,
-            "health": armed_dev.stats.health.snapshot(),
-        })
+    # Zero-cost-when-armed: the policy alone changes nothing.
+    assert armed_out.result.labels == plain_out.result.labels
+    assert armed_dev.stats.snapshot() == plain_dev.stats.snapshot(), (
+        "policy-armed run charged extra I/Os"
+    )
+    assert armed_dev.stats.by_phase == plain_dev.stats.by_phase
+    assert armed_dev.stats.fault_total() == 0
+    rows.append({
+        "fault": "(none)", "phase": "-",
+        "fired": False, "extra_io": 0, "retry_io": 0, "repair_io": 0,
+        "health": armed_dev.stats.health.snapshot(),
+    })
 
-        for kind in FAULT_KINDS:
-            for phase in PHASES:
-                schedule = _schedule(kind, phase)
-                out, device = _run(edges, num_nodes, memory_bytes, executor,
-                                   schedule=schedule, policy=POLICY)
-                cell = f"{kind}@{phase}[{executor}]"
+    for kind in FAULT_KINDS:
+        for phase in PHASES:
+            schedule = _schedule(kind, phase)
+            out, device = _run(edges, num_nodes, memory_bytes,
+                               schedule=schedule, policy=POLICY)
+            cell = f"{kind}@{phase}"
 
-                # Gate 1: label identity.
-                assert out.result.labels == plain_out.result.labels, cell
+            # Gate 1: label identity.
+            assert out.result.labels == plain_out.result.labels, cell
 
-                # Gate 2: every algorithm phase charged identically; the
-                # fault labels are the entire delta.
-                match, bad = _phase_ledgers_match(plain_dev, device)
-                assert match, f"{cell}: phase {bad!r} ledger diverged"
-                extra = device.stats.total - plain_dev.stats.total
-                assert extra == device.stats.fault_total(), cell
-                if not schedule.fired:
-                    assert extra == 0, cell
+            # Gate 2: every algorithm phase charged identically; the
+            # fault labels are the entire delta.
+            match, bad = _phase_ledgers_match(plain_dev, device)
+            assert match, f"{cell}: phase {bad!r} ledger diverged"
+            extra = device.stats.total - plain_dev.stats.total
+            assert extra == device.stats.fault_total(), cell
+            if not schedule.fired:
+                assert extra == 0, cell
 
-                # Worker faults are ledger-neutral by design: the replay
-                # charges exactly what the first dispatch would have.
-                if kind == "worker-die" and schedule.fired:
-                    assert extra == 0, cell
-                    assert device.stats.health.redispatches >= 1, cell
+            # Worker faults are ledger-neutral by design: the replay
+            # charges exactly what the first dispatch would have.
+            if kind == "worker-die" and schedule.fired:
+                assert extra == 0, cell
+                assert device.stats.health.redispatches >= 1, cell
 
-                rows.append({
-                    "executor": executor, "fault": kind, "phase": phase,
-                    "fired": bool(schedule.fired), "extra_io": extra,
-                    "retry_io": device.stats.phase_total("retry"),
-                    "repair_io": device.stats.phase_total("repair"),
-                    "health": device.stats.health.snapshot(),
-                })
+            rows.append({
+                "fault": kind, "phase": phase,
+                "fired": bool(schedule.fired), "extra_io": extra,
+                "retry_io": device.stats.phase_total("retry"),
+                "repair_io": device.stats.phase_total("repair"),
+                "health": device.stats.health.snapshot(),
+            })
 
     fired = sum(1 for row in rows if row["fired"])
     # The matrix must actually exercise the machinery, not pass vacuously.
-    assert fired >= len(EXECUTORS) * len(PHASES) * 3, (
+    assert fired >= len(PHASES) * 3, (
         f"only {fired} matrix cells fired a fault"
     )
     return rows
@@ -153,7 +150,7 @@ def _measure():
 
 def _render(rows):
     header = (
-        f"{'executor':<9} {'fault':<17} {'phase':<11} {'fired':<6} "
+        f"{'fault':<17} {'phase':<11} {'fired':<6} "
         f"{'extra':>6} {'retry':>6} {'repair':>7}  health"
     )
     lines = ["chaos matrix — single injected fault per full run", header,
@@ -165,7 +162,7 @@ def _render(rows):
             f"redisp={h['redispatches']} backoff={h['backoff_seconds']:.4f}s"
         )
         lines.append(
-            f"{row['executor']:<9} {row['fault']:<17} {row['phase']:<11} "
+            f"{row['fault']:<17} {row['phase']:<11} "
             f"{str(row['fired']):<6} {row['extra_io']:>6} {row['retry_io']:>6} "
             f"{row['repair_io']:>7}  {summary}"
         )

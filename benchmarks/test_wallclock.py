@@ -1,11 +1,10 @@
 """Wall-clock invariance: the Fig. 6 smoke point under every execution
 configuration.
 
-Every execution knob left — the executor (``serial``, ``threads``), the
-worker count K, and the ``REPRO_NUMPY`` reachability kernel — is a
-*pure* wall-clock knob: at every codec × executor × K combination, with
-numpy on and off, the smoke run's simulated ledger and its answer are
-exactly the serial K=1 run's with numpy off.  That identity is gated
+Every execution knob left — the worker count K and the ``REPRO_NUMPY``
+reachability kernel — is a *pure* wall-clock knob: at every codec × K
+combination, with numpy on and off, the smoke run's simulated ledger and
+its answer are exactly the K=1 run's with numpy off.  That identity is gated
 exactly.  Wall time itself is measured by ``benchmarks/perf``;
 ``BENCH_wallclock.json`` is the frozen history of the earlier
 scalar-vs-batch comparison.
@@ -26,7 +25,6 @@ MEMORY_RATIO = 0.47  # Fig. 6 default memory
 SMOKE_PCT = 20
 
 MATRIX_CODECS = ("gap-varint", "varint", "fixed")
-MATRIX_EXECUTORS = ("serial", "threads")
 MATRIX_WORKERS = (1, 2, 4, 8)
 
 
@@ -55,21 +53,20 @@ def _fingerprint(run):
     }
 
 
-def _run_smoke(edges, n, memory, *, codec, executor="serial", workers=1,
-               numpy=False):
+def _run_smoke(edges, n, memory, *, codec, workers=1, numpy=False):
     previous = kernels.set_enabled(numpy)
     try:
         return run_algorithm("Ext-SCC-Op", edges, n, memory,
                              block_size=BLOCK_SIZE, x=SMOKE_PCT,
                              config=ExtSCCConfig.optimized(codec=codec),
-                             workers=workers, executor=executor)
+                             workers=workers)
     finally:
         kernels.set_enabled(previous)
 
 
 def test_wallclock_invariance_matrix(benchmark):
-    """Exact ledger identity at every codec × executor × K, numpy on and
-    off, against the serial K=1 run with numpy off."""
+    """Exact ledger identity at every codec × K, numpy on and off, against
+    the K=1 run with numpy off."""
     edges, n, memory = _smoke_point()
 
     def run_matrix():
@@ -77,14 +74,12 @@ def test_wallclock_invariance_matrix(benchmark):
         for codec in MATRIX_CODECS:
             reference = _fingerprint(_run_smoke(edges, n, memory, codec=codec))
             for numpy in (False, True):
-                for executor in MATRIX_EXECUTORS:
-                    for workers in MATRIX_WORKERS:
-                        run = _run_smoke(edges, n, memory, codec=codec,
-                                         executor=executor, workers=workers,
-                                         numpy=numpy)
-                        if _fingerprint(run) != reference:
-                            mismatches.append((codec, numpy, executor, workers,
-                                               _fingerprint(run), reference))
+                for workers in MATRIX_WORKERS:
+                    run = _run_smoke(edges, n, memory, codec=codec,
+                                     workers=workers, numpy=numpy)
+                    if _fingerprint(run) != reference:
+                        mismatches.append((codec, numpy, workers,
+                                           _fingerprint(run), reference))
         return mismatches
 
     mismatches = benchmark.pedantic(run_matrix, rounds=1, iterations=1)

@@ -1,9 +1,7 @@
 """Analysis layer: the analytic I/O cost model (Theorems 5.1/5.2/6.1),
-trace-calibrated constants and the self-tuning plan search, graph
-statistics (degrees, arboricity bound, bow-tie), and time-forward
-processing over external DAGs."""
+the Ext-SCC planner, graph statistics (degrees, arboricity bound,
+bow-tie), and time-forward processing over external DAGs."""
 
-from repro.analysis.calibration import CalibrationProfile, calibration_path_for
 from repro.analysis.cost_model import CostModel
 from repro.analysis.graph_stats import (
     BowTie,
@@ -14,11 +12,7 @@ from repro.analysis.graph_stats import (
 )
 from repro.analysis.planner import (
     ExtSCCPlan,
-    PlanCandidate,
     PlannedIteration,
-    TuningDecision,
-    autotune_config,
-    enumerate_knobs,
     plan_ext_scc,
 )
 from repro.analysis.time_forward import dag_levels
@@ -26,13 +20,7 @@ from repro.analysis.time_forward import dag_levels
 __all__ = [
     "ExtSCCPlan",
     "PlannedIteration",
-    "PlanCandidate",
-    "TuningDecision",
-    "autotune_config",
-    "enumerate_knobs",
     "plan_ext_scc",
-    "CalibrationProfile",
-    "calibration_path_for",
     "CostModel",
     "DegreeStats",
     "degree_stats",

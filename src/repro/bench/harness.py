@@ -9,8 +9,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.calibration import CalibrationProfile
-from repro.analysis.planner import TuningDecision, autotune_config
 from repro.baselines import dfs_scc, em_scc
 from repro.core import ExtSCC, ExtSCCConfig
 from repro.exceptions import InsufficientMemory, IOBudgetExceeded, NonTermination
@@ -19,7 +17,7 @@ from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
 from repro.io.parallel import MakespanMeter, StripedDevice
 from repro.io.stats import IOBudget
-from repro.plan import PlanCache, TraceLedger
+from repro.plan import TraceLedger
 from repro.semi_external import spanning_tree_scc
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,9 +61,6 @@ class RunResult:
     trace: Dict[str, Dict[str, int]] = field(default_factory=dict)
     trace_predicted: int = 0
     trace_measured: int = 0
-    # the autotuner's decision summary (chosen knobs, predicted prices,
-    # cache hit/miss counters) — empty on static runs
-    autotune: Dict[str, object] = field(default_factory=dict)
     # fault-tolerance ledger delta of the run (retries, repairs,
     # redispatches, parity writes, backoff seconds, degradation events)
     # — all zeros/empty on a fault-free run
@@ -113,14 +108,10 @@ class RunResult:
         raise ValueError(f"unknown metric {metric!r}")
 
 
-def _run_ext(config: ExtSCCConfig,
-             calibration: Optional[CalibrationProfile] = None,
-             tuning: Optional[TuningDecision] = None):
+def _run_ext(config: ExtSCCConfig):
     def runner(device: BlockDevice, edges: EdgeFile, nodes: NodeFile,
                memory: MemoryBudget) -> Tuple[int, Optional[int], Optional[TraceLedger]]:
-        output = ExtSCC(config, calibration=calibration).run(
-            device, edges, memory, nodes=nodes, tuning=tuning
-        )
+        output = ExtSCC(config).run(device, edges, memory, nodes=nodes)
         return output.result.num_sccs, output.num_iterations, output.trace
     return runner
 
@@ -164,11 +155,6 @@ def run_algorithm(
     x: object = None,
     config: Optional[ExtSCCConfig] = None,
     workers: int = 1,
-    executor: str = "serial",
-    autotune: bool = False,
-    calibration: Optional[CalibrationProfile] = None,
-    plan_cache: Optional[PlanCache] = None,
-    objective: Optional[str] = None,
     fault_policy: Optional["FaultPolicy"] = None,
     fault_schedule: Optional["FaultSchedule"] = None,
     parity: bool = False,
@@ -188,18 +174,6 @@ def run_algorithm(
             :class:`~repro.io.parallel.StripedDevice` with ``K`` channels
             and threads ``workers`` into the Ext-SCC config, so the run
             reports a makespan alongside the (unchanged) total ledger.
-        executor: worker-pool backend for Ext-SCC runs (``"serial"``
-            keeps the benchmark deterministic; makespan is a property of
-            the striping, not of the backend).
-        autotune: let the cost-based optimizer choose codec, workers,
-            executor, and solver for an Ext-SCC run (``workers`` /
-            ``executor`` args are then the search's to override);
-            ``result.autotune`` records the decision.
-        calibration: fitted cost constants for the search.
-        plan_cache: optional decision cache (hit/miss counters land in
-            ``result.autotune["cache"]``).
-        objective: autotune objective override (``"io"`` /
-            ``"wallclock"``).
         fault_policy: retry/backoff policy for transient faults; the
             device default applies when ``None``.
         fault_schedule: deterministic fault injection schedule (chaos
@@ -211,30 +185,14 @@ def run_algorithm(
     Returns:
         A populated :class:`RunResult`.
     """
-    tuning: Optional[TuningDecision] = None
-    if autotune:
-        base = config if config is not None else (
-            ExtSCCConfig.optimized() if name == "Ext-SCC-Op"
-            else ExtSCCConfig.baseline()
-        )
-        if objective is not None:
-            base = replace(base, objective=objective)
-        tuning = autotune_config(
-            num_nodes, len(edges), memory_bytes, block_size, config=base,
-            profile=calibration, cache=plan_cache,
-        )
-        config = tuning.config(base)
-        workers, executor = config.workers, config.executor
-        runner = _run_ext(config, calibration, tuning)
-    elif config is not None:
-        runner = _run_ext(replace(config, workers=workers, executor=executor),
-                          calibration)
-    elif name in ("Ext-SCC", "Ext-SCC-Op") and (workers > 1 or executor != "serial"):
+    if config is not None:
+        runner = _run_ext(replace(config, workers=workers))
+    elif name in ("Ext-SCC", "Ext-SCC-Op") and workers > 1:
         base = (
             ExtSCCConfig.optimized() if name == "Ext-SCC-Op"
             else ExtSCCConfig.baseline()
         )
-        runner = _run_ext(replace(base, workers=workers, executor=executor))
+        runner = _run_ext(replace(base, workers=workers))
     else:
         runner = ALGORITHMS[name]
     if workers > 1 or parity:
@@ -316,24 +274,6 @@ def run_algorithm(
         result.trace = trace.by_phase()
         result.trace_predicted = trace.total_predicted
         result.trace_measured = trace.total_measured
-    if tuning is not None:
-        chosen = tuning.chosen
-        result.autotune = {
-            "objective": tuning.objective,
-            "codec": chosen.codec,
-            "workers": chosen.workers,
-            "executor": chosen.executor,
-            "solver": chosen.solver,
-            "predicted_ios": chosen.predicted_ios,
-            "predicted_makespan": chosen.predicted_makespan,
-            "predicted_seconds": chosen.predicted_seconds,
-            "candidates": len(tuning.candidates),
-            "cache_hit": tuning.cache_hit,
-            "planning_seconds": tuning.planning_seconds,
-            "calibration": tuning.calibration_version,
-        }
-        if plan_cache is not None:
-            result.autotune["cache"] = plan_cache.stats()
     return result
 
 
@@ -383,7 +323,6 @@ def run_sweep(
     block_size: int = 1024,
     io_budget: Optional[int] = None,
     workers: int = 1,
-    executor: str = "serial",
 ) -> Sweep:
     """Run every algorithm at every sweep point.
 
@@ -395,7 +334,6 @@ def run_sweep(
         block_size: the block size ``B``.
         io_budget: per-run I/O cap (the INF cutoff).
         workers: shard/channel width ``K`` for every run.
-        executor: worker-pool backend for Ext-SCC runs.
     """
     sweep = Sweep(title=title, x_label=x_label)
     for x, edges, num_nodes, memory_bytes in points:
@@ -404,7 +342,7 @@ def run_sweep(
                 run_algorithm(
                     name, edges, num_nodes, memory_bytes,
                     block_size=block_size, io_budget=io_budget, x=x,
-                    workers=workers, executor=executor,
+                    workers=workers,
                 )
             )
     return sweep

@@ -77,7 +77,7 @@ def format_trace(run: RunResult) -> str:
     e.g. DFS-SCC or a failed run).
 
     The delta column is how far the planner's cost model strayed from the
-    measured pipeline; the calibration benchmark gates it, this table just
+    measured pipeline; the trace-envelope benchmark gates it, this table just
     reports it alongside the paper-style rows.
     """
     if not run.trace:
@@ -238,10 +238,10 @@ def sweep_to_json(sweep: Sweep, indent: Optional[int] = 1) -> str:
     The schema is one record per run: algorithm, sweep coordinate, status,
     the three I/O counters, wall seconds, SCC count, iteration count, the
     payload-byte ledger (logical vs stored bytes, compression ratio,
-    stored bytes per record, and the per-width profile), and — for
-    autotuned runs — the optimizer's decision summary with plan-cache
-    hit/miss counters.  Each record also carries the run's fault-health
-    ledger (all zeros/empty on fault-free runs).
+    stored bytes per record, and the per-width profile), sharding
+    (workers, makespan, per-channel I/O), and the trace totals.  Each
+    record also carries the run's fault-health ledger (all zeros/empty on
+    fault-free runs).
     """
     payload = {
         "title": sweep.title,
@@ -276,7 +276,6 @@ def sweep_to_json(sweep: Sweep, indent: Optional[int] = 1) -> str:
                 "trace": run.trace,
                 "trace_predicted": run.trace_predicted,
                 "trace_measured": run.trace_measured,
-                "autotune": run.autotune,
                 "health": run.health,
             }
             for run in sweep.runs

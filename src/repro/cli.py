@@ -21,15 +21,13 @@ Sizes accept suffixes: ``64K``, ``4M``, ``1G``.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.calibration import CalibrationProfile, calibration_path_for
 from repro.bench.harness import ALGORITHMS, run_algorithm
 from repro.core import ExtSCCConfig, compute_sccs
-from repro.core.config import OBJECTIVES
 from repro.exceptions import (
     CorruptBlockError,
     InputFormatError,
@@ -39,8 +37,6 @@ from repro.exceptions import (
 )
 from repro.graph.datasets import build_dataset
 from repro.graph.io_formats import read_edge_binary, read_edge_text, write_edge_binary, write_edge_text
-from repro.io.parallel import EXECUTOR_BACKENDS
-from repro.plan import PlanCache
 from repro.recovery.policy import FaultPolicy
 from repro.semi_external import SEMI_SCC_SOLVERS
 from repro import kernels
@@ -52,8 +48,30 @@ _SUFFIXES = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
 
 def _count(text: str) -> int:
-    """Parse a count that may use scientific notation (``1e8``)."""
-    return int(float(text))
+    """Argparse type for a non-negative count that may use scientific
+    notation (``1e8``)."""
+    try:
+        value = int(float(text))
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative count, got {text}"
+        )
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type for a finite, strictly positive coefficient."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text}"
+        )
+    return value
 
 
 def parse_size(text: str) -> int:
@@ -67,6 +85,16 @@ def parse_size(text: str) -> int:
         raise InputFormatError(
             f"invalid size {text!r}: expected bytes like 4096, 64K, 4M or 1G"
         ) from None
+
+
+def _block_size(text: str) -> int:
+    """``parse_size`` for ``--block-size``, which must be positive."""
+    size = parse_size(text)
+    if size <= 0:
+        raise InputFormatError(
+            f"invalid block size {text!r}: must be a positive number of bytes"
+        )
+    return size
 
 
 def _positive_int(text: str) -> int:
@@ -98,17 +126,30 @@ def _load_edges(path: str, binary: bool) -> List:
     return list(reader(path))
 
 
-def _run_checkpointed(args: argparse.Namespace, config, on_iteration,
-                      profile=None, cache=None):
+def _node_count(edges: List, nodes: int) -> Optional[int]:
+    """``--nodes`` checked against the loaded edges, or None when it was
+    not given (0): the node set is then derived from the edges.
+
+    With ``--nodes N`` the nodes are ``0..N-1``, so an edge endpoint
+    outside that range is an input error, named with its edge.
+    """
+    if not nodes:
+        return None
+    for u, v in edges:
+        if not (0 <= u < nodes and 0 <= v < nodes):
+            raise InputFormatError(
+                f"edge ({u}, {v}) has an endpoint outside --nodes {nodes} "
+                f"(node ids must lie in 0..{nodes - 1})"
+            )
+    return nodes
+
+
+def _run_checkpointed(args: argparse.Namespace, config, on_iteration):
     """Run ``scc`` against a persistent device directory with journaling.
 
     A fresh run wipes the directory and loads the input; ``--resume``
-    reuses the stored input and continues from the journal.  With
-    ``--autotune`` (fresh starts only — ``_cmd_scc`` refuses the resume
-    combination), the knob search runs over the loaded input before the
-    pipeline starts.
+    reuses the stored input and continues from the journal.
     """
-    from repro.analysis.planner import autotune_config
     from repro.core.ext_scc import ExtSCC
     from repro.graph.edge_file import EdgeFile, NodeFile
     from repro.io.files import ExternalFile
@@ -117,13 +158,12 @@ def _run_checkpointed(args: argparse.Namespace, config, on_iteration,
     from repro.recovery import CheckpointManager
 
     device = PersistentBlockDevice(
-        args.checkpoint_dir, block_size=parse_size(args.block_size)
+        args.checkpoint_dir, block_size=_block_size(args.block_size)
     )
     if args.fault_policy is not None:
         device.attach_policy(args.fault_policy)
     memory = MemoryBudget(parse_size(args.memory))
     manager = CheckpointManager(device)
-    tuning = None
     if args.resume and device.exists("input-edges"):
         edge_file = EdgeFile(ExternalFile.open(device, "input-edges"))
         node_file = (
@@ -136,42 +176,31 @@ def _run_checkpointed(args: argparse.Namespace, config, on_iteration,
             device.delete(name)
         manager.reset()
         edges = _load_edges(args.input, args.binary)
-        if args.autotune:
-            n = args.nodes or (
-                1 + max(max(u, v) for u, v in edges) if edges else 0
-            )
-            tuning = autotune_config(
-                n, len(edges), memory.nbytes, device.block_size,
-                config=config, profile=profile, cache=cache,
-            )
-            config = tuning.config(config)
+        num_nodes = _node_count(edges, args.nodes)
         edge_file = EdgeFile.from_edges(device, "input-edges", edges)
         node_file = None
-        if args.nodes:
+        if num_nodes is not None:
             node_file = NodeFile.from_ids(
-                device, "input-nodes", range(args.nodes), memory, presorted=True
+                device, "input-nodes", range(num_nodes), memory, presorted=True
             )
     try:
-        return device, ExtSCC(config, calibration=profile).run(
+        return device, ExtSCC(config).run(
             device, edge_file, memory, nodes=node_file,
-            on_iteration=on_iteration, checkpoint=manager, tuning=tuning,
+            on_iteration=on_iteration, checkpoint=manager,
         )
     except BaseException:
         device.sync()  # keep the journal durable for a later --resume
         raise
 
 
-def _explain_scc(args: argparse.Namespace, config, profile=None,
-                 cache=None) -> int:
+def _explain_scc(args: argparse.Namespace, config) -> int:
     """``scc --explain``: print the optimized operator DAG of the first
     phase the run would execute (contract-1, or the semi-external hand-off
     when the input already fits) plus the analytic full-run schedule,
-    without running anything.  With ``--autotune``, the candidate table —
-    every enumerated (codec, K, executor, solver) with its calibrated
-    prices — is printed first and the chosen config's plan follows."""
+    without running anything."""
     from repro.analysis import plan_ext_scc
     from repro.analysis.cost_model import CostModel
-    from repro.analysis.planner import autotune_config, optimize_plan
+    from repro.analysis.planner import optimize_plan
     from repro.core.contraction import build_contract_plan
     from repro.core.ext_scc import ExtSCC
     from repro.graph.edge_file import EdgeFile, NodeFile
@@ -179,32 +208,21 @@ def _explain_scc(args: argparse.Namespace, config, profile=None,
     from repro.io.memory import MemoryBudget
     from repro.semi_external import build_semi_plan
 
-    block_size = parse_size(args.block_size)
+    block_size = _block_size(args.block_size)
     memory_bytes = parse_size(args.memory)
     device = BlockDevice(block_size=block_size)
     memory = MemoryBudget(memory_bytes)
     edges = _load_edges(args.input, args.binary)
+    num_nodes = _node_count(edges, args.nodes)
     edge_file = EdgeFile.from_edges(device, "input-edges", edges)
-    if args.nodes:
+    if num_nodes is not None:
         node_file = NodeFile.from_ids(
-            device, "input-nodes", range(args.nodes), memory, presorted=True
+            device, "input-nodes", range(num_nodes), memory, presorted=True
         )
     else:
         node_file = edge_file.node_file(memory)
-    decision = None
-    if args.autotune:
-        decision = autotune_config(
-            node_file.num_nodes, edge_file.num_edges, memory_bytes,
-            block_size, config=config, profile=profile, cache=cache,
-        )
-        config = decision.config(config)
-        print(decision.render())
-        print()
-    solver = ExtSCC(config, calibration=profile)
-    if profile is not None:
-        model = profile.model(block_size, memory_bytes, config.codec)
-    else:
-        model = CostModel(block_size, memory_bytes)
+    solver = ExtSCC(config)
+    model = CostModel(block_size, memory_bytes)
     if solver.nodes_fit(node_file.num_nodes, memory, block_size):
         plan = build_semi_plan(
             device, edge_file, node_file, memory, config.semi_scc
@@ -213,7 +231,7 @@ def _explain_scc(args: argparse.Namespace, config, profile=None,
         plan = build_contract_plan(
             device, edge_file, node_file, memory, config, level=1
         )
-    optimize_plan(plan, model, config, decision=decision)
+    optimize_plan(plan, model, config)
     print(plan.render())
     print()
     print(plan_ext_scc(
@@ -238,27 +256,17 @@ def _render_health(health: dict) -> str:
 def _cmd_scc(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    num_nodes = args.nodes if args.nodes else None
     config = (
         ExtSCCConfig.optimized() if args.algorithm == "ext-scc-op"
         else ExtSCCConfig.baseline()
     )
-    if args.workers > 1 or args.executor != "serial":
-        config = replace(config, workers=args.workers, executor=args.executor)
+    if args.workers > 1:
+        config = replace(config, workers=args.workers)
     if args.solver is not None:
         config = replace(config, semi_scc=args.solver)
-    if args.objective != "io":
-        config = replace(config, objective=args.objective)
     if args.verbose and kernels.requested() and not kernels.available():
         print(f"note: {kernels.fallback_reason()}; running the "
               "byte-identical pure-Python kernels", file=sys.stderr)
-    if args.autotune and args.resume:
-        print(
-            "error: --autotune cannot be combined with --resume (the "
-            "journal fixes the codec; re-tuning would invalidate it)",
-            file=sys.stderr,
-        )
-        return 2
     if args.parity and args.checkpoint_dir:
         print(
             "error: --parity needs the in-memory striped device; the "
@@ -268,20 +276,8 @@ def _cmd_scc(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # The calibration profile lives next to the device manifest by
-    # convention; --calibration overrides the location.
-    calibration_path = args.calibration or (
-        calibration_path_for(args.checkpoint_dir)
-        if args.checkpoint_dir else None
-    )
-    profile = (
-        CalibrationProfile.load(calibration_path)
-        if calibration_path and os.path.exists(calibration_path) else
-        CalibrationProfile() if (calibration_path or args.autotune) else None
-    )
-    cache = PlanCache(args.plan_cache) if args.plan_cache else None
     if args.explain:
-        return _explain_scc(args, config, profile=profile, cache=cache)
+        return _explain_scc(args, config)
 
     def progress(record) -> None:
         print(
@@ -295,7 +291,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
     if args.checkpoint_dir:
         device, out = _run_checkpointed(
             args, config, progress if args.verbose else None,
-            profile=profile, cache=cache,
         )
         device.close()
         if out.resumed:
@@ -310,32 +305,16 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         edge_count = len(edges)
         out = compute_sccs(
             edges,
-            num_nodes=num_nodes,
+            num_nodes=_node_count(edges, args.nodes),
             memory_bytes=parse_size(args.memory),
-            block_size=parse_size(args.block_size),
+            block_size=_block_size(args.block_size),
             config=config,
             on_iteration=progress if args.verbose else None,
-            autotune=args.autotune,
-            calibration=profile,
-            plan_cache=cache,
             fault_policy=args.fault_policy,
             parity=args.parity,
         )
     elapsed = time.perf_counter() - started
     result = out.result
-    if out.tuning is not None:
-        chosen = out.tuning.chosen
-        source = (
-            "plan cache" if out.tuning.cache_hit
-            else f"{len(out.tuning.candidates)} candidates in "
-                 f"{out.tuning.planning_seconds * 1e3:.1f}ms"
-        )
-        print(
-            f"autotune[{out.tuning.objective}]: codec={chosen.codec} "
-            f"workers={chosen.workers} executor={chosen.executor} "
-            f"solver={chosen.solver}  ({source})",
-            file=sys.stderr,
-        )
     edge_note = "?" if edge_count is None else edge_count
     print(f"nodes: {result.num_nodes}  edges: {edge_note}", file=sys.stderr)
     print(
@@ -377,11 +356,9 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         run_config = out.config
         context = {
             "codec": run_config.codec,
-            "executor": run_config.executor,
             "workers": run_config.workers,
             "solver": run_config.semi_scc,
-            "objective": run_config.objective,
-            "block_size": parse_size(args.block_size),
+            "block_size": _block_size(args.block_size),
             "memory_bytes": parse_size(args.memory),
             "io_total": out.io.total,
             "semi_io_total": out.semi_io.total,
@@ -393,8 +370,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
                 str(width): [count, stored]
                 for width, (count, stored) in sorted(out.bytes_by_width.items())
             },
-            "autotune": out.tuning.to_payload() if out.tuning else None,
-            "cache": cache.stats() if cache is not None else None,
             "health": out.health,
             "kernels": {
                 "numpy_requested": kernels.requested(),
@@ -411,16 +386,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         )
     if args.verbose and out.trace.spans:
         print(out.trace.render(), file=sys.stderr)
-    if calibration_path is not None:
-        profile.ingest_run(out, block_size=parse_size(args.block_size))
-        profile.save(calibration_path)
-        print(
-            f"calibration profile updated: {calibration_path} "
-            f"(version {profile.version})",
-            file=sys.stderr,
-        )
-    if args.plan_cache and cache is not None:
-        cache.save()
     if args.output:
         with open(args.output, "w", encoding="ascii") as f:
             for node in sorted(result.labels):
@@ -448,33 +413,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.autotune and args.algorithm not in ("Ext-SCC", "Ext-SCC-Op"):
-        print(
-            f"error: --autotune only applies to Ext-SCC variants, not "
-            f"{args.algorithm}",
-            file=sys.stderr,
-        )
-        return 2
+    block_size = _block_size(args.block_size)
     edges = _load_edges(args.input, args.binary)
-    num_nodes = args.nodes or (1 + max(max(u, v) for u, v in edges))
-    profile = (
-        CalibrationProfile.load(args.calibration)
-        if args.calibration and os.path.exists(args.calibration)
-        else CalibrationProfile() if (args.calibration or args.autotune)
-        else None
-    )
+    num_nodes = _node_count(edges, args.nodes)
+    if num_nodes is None:
+        # The bench harness numbers nodes 0..N-1.
+        num_nodes = 1 + max((max(u, v) for u, v in edges), default=-1)
     result = run_algorithm(
         args.algorithm,
         edges,
         num_nodes,
         memory_bytes=parse_size(args.memory),
-        block_size=parse_size(args.block_size),
+        block_size=block_size,
         io_budget=args.io_budget,
         workers=args.workers,
-        executor=args.executor,
-        autotune=args.autotune,
-        calibration=profile,
-        objective=args.objective,
         fault_policy=args.fault_policy,
         parity=args.parity,
     )
@@ -483,14 +435,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"(random {result.io_random})  wall: {result.wall_seconds:.2f}s  "
         f"sccs: {result.num_sccs}"
     )
-    if result.autotune:
-        a = result.autotune
-        print(
-            f"autotune[{a['objective']}]: codec={a['codec']} "
-            f"workers={a['workers']} executor={a['executor']} "
-            f"solver={a['solver']}  ({a['candidates']} candidates, "
-            f"predicted {a['predicted_ios']:,} blk)"
-        )
     top_phases = [
         label
         for label in ("recovery", "contraction", "semi-scc", "expansion")
@@ -522,8 +466,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.io.blocks import BlockDevice
     from repro.io.memory import MemoryBudget
 
+    device = BlockDevice(block_size=_block_size(args.block_size))
     edges = _load_edges(args.input, args.binary)
-    device = BlockDevice(block_size=parse_size(args.block_size))
     memory = MemoryBudget(parse_size(args.memory))
     edge_file = EdgeFile.from_edges(device, "edges", edges)
     stats = degree_stats(edge_file, memory)
@@ -574,7 +518,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         args.nodes,
         args.edges,
         memory_bytes=parse_size(args.memory),
-        block_size=parse_size(args.block_size),
+        block_size=_block_size(args.block_size),
         node_retention=args.node_retention,
         edge_growth=args.edge_growth,
     )
@@ -585,14 +529,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import LabelStore, QueryDaemon, build_store
 
+    block_size = _block_size(args.block_size)
     if args.build:
         edges = _load_edges(args.build, args.binary)
         meta = build_store(
             edges,
             args.store,
-            num_nodes=args.nodes or None,
+            num_nodes=_node_count(edges, args.nodes),
             memory_bytes=parse_size(args.memory),
-            block_size=parse_size(args.block_size),
+            block_size=block_size,
         )
         print(
             f"store built: {meta['num_sccs']} SCCs over "
@@ -717,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     scc = sub.add_parser("scc", help="compute all SCCs of an edge-list file")
     scc.add_argument("input", help="edge list: 'u v' per line (or --binary)")
     scc.add_argument("--output", "-o", help="write 'node scc' labels here")
-    scc.add_argument("--nodes", type=int, default=0,
+    scc.add_argument("--nodes", type=_count, default=0,
                      help="node count (nodes are 0..N-1; default: derive from edges)")
     scc.add_argument("--memory", "-m", default="1M", help="memory budget (e.g. 512K)")
     scc.add_argument("--block-size", "-b", default="4K", help="disk block size")
@@ -744,10 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "graph (default: the config's spanning-tree; "
                           "all registered solvers produce identical "
                           "canonical labels)")
-    scc.add_argument("--executor", choices=list(EXECUTOR_BACKENDS),
-                     default="serial",
-                     help="worker-pool backend (serial is deterministic "
-                          "and default; threads uses real threads)")
     scc.add_argument("--checkpoint-dir",
                      help="journal phase boundaries in this directory "
                           "(a persistent device) so a crashed run can be "
@@ -755,31 +696,12 @@ def build_parser() -> argparse.ArgumentParser:
     scc.add_argument("--resume", action="store_true",
                      help="continue a crashed run from the journal in "
                           "--checkpoint-dir instead of starting over")
-    scc.add_argument("--autotune", action="store_true",
-                     help="let the cost-based optimizer pick codec, worker "
-                          "count K, executor, and semi-external solver by "
-                          "pricing every combination against the "
-                          "calibrated cost model before running")
-    scc.add_argument("--objective", choices=list(OBJECTIVES), default="io",
-                     help="what --autotune minimizes: predicted block "
-                          "I/Os (io, default) or predicted wall-seconds "
-                          "(wallclock, needs a calibration profile to "
-                          "differ from io)")
-    scc.add_argument("--calibration", metavar="PATH",
-                     help="calibration profile JSON to price candidates "
-                          "with; updated from this run's measurements "
-                          "afterwards (default: calibration.json inside "
-                          "--checkpoint-dir when one is given)")
-    scc.add_argument("--plan-cache", metavar="PATH",
-                     help="persistent plan cache: repeated --autotune "
-                          "queries with the same graph shape, budget, and "
-                          "calibration version skip the knob search")
     scc.add_argument("--fault-policy", type=_fault_policy, default=None,
                      metavar="SPEC",
                      help="retry/backoff policy for transient storage "
                           "faults as key=value pairs, e.g. "
                           "'retries=5,backoff=0.002,factor=2,jitter=0.1,"
-                          "seed=7,deadline=1.0,timeout=30' "
+                          "seed=7,deadline=1.0' "
                           "(default policy: 3 retries, exponential "
                           "backoff with deterministic jitter)")
     scc.add_argument("--parity", action="store_true",
@@ -806,26 +728,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("input")
     bench.add_argument("--algorithm", "-a", choices=sorted(ALGORITHMS),
                        default="Ext-SCC-Op")
-    bench.add_argument("--nodes", type=int, default=0)
+    bench.add_argument("--nodes", type=_count, default=0)
     bench.add_argument("--memory", "-m", default="1M")
     bench.add_argument("--block-size", "-b", default="4K")
     bench.add_argument("--io-budget", type=int, default=None,
                        help="block-I/O cap; exceeded -> INF (exit 1)")
     bench.add_argument("--workers", type=_positive_int, default=1,
                        help="shard/channel width K for Ext-SCC runs")
-    bench.add_argument("--executor", choices=list(EXECUTOR_BACKENDS),
-                       default="serial",
-                       help="worker-pool backend for Ext-SCC runs")
     bench.add_argument("--binary", action="store_true")
-    bench.add_argument("--autotune", action="store_true",
-                       help="let the optimizer pick codec/K/executor/"
-                            "solver for Ext-SCC runs (overrides --workers "
-                            "and --executor)")
-    bench.add_argument("--objective", choices=list(OBJECTIVES), default="io",
-                       help="autotune objective: predicted I/Os or "
-                            "predicted wall-seconds")
-    bench.add_argument("--calibration", metavar="PATH",
-                       help="calibration profile JSON for autotune pricing")
     bench.add_argument("--fault-policy", type=_fault_policy, default=None,
                        metavar="SPEC",
                        help="retry/backoff policy for transient storage "
@@ -859,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--edges", type=_count, required=True)
     explain.add_argument("--memory", "-m", default="1M")
     explain.add_argument("--block-size", "-b", default="4K")
-    explain.add_argument("--node-retention", type=float, default=0.72)
-    explain.add_argument("--edge-growth", type=float, default=1.25)
+    explain.add_argument("--node-retention", type=_positive_float, default=0.72)
+    explain.add_argument("--edge-growth", type=_positive_float, default=1.25)
     explain.set_defaults(func=_cmd_explain)
 
     serve = sub.add_parser(
@@ -873,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "store in STORE before serving")
     serve.add_argument("--build-only", action="store_true",
                        help="with --build: exit after building, don't serve")
-    serve.add_argument("--nodes", type=int, default=0,
+    serve.add_argument("--nodes", type=_count, default=0,
                        help="node count for --build (default: derive)")
     serve.add_argument("--memory", "-m", default="1M",
                        help="memory budget for building and serving")

@@ -21,13 +21,9 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
+from repro.exceptions import ReproError
 
-__all__ = ["ExtSCCConfig", "OBJECTIVES"]
-
-OBJECTIVES = ("io", "wallclock")
-"""Cost objectives the planner can optimize: predicted total block I/Os
-(``"io"``) or predicted wall-clock seconds (``"wallclock"``, calibrated
-from measured traces)."""
+__all__ = ["ExtSCCConfig"]
 
 
 @dataclass(frozen=True)
@@ -75,23 +71,12 @@ class ExtSCCConfig:
             :class:`~repro.io.parallel.StripedDevice` in the benchmark
             harness.  ``K=1`` is the exact serial pipeline; any ``K``
             produces identical SCC labels and identical *total* ledgers —
-            parallelism only redistributes I/O across channels.
-        executor: worker-pool backend, ``"serial"`` (default — shards run
-            in submission order, keeping crash ordinals and traces
-            deterministic) or ``"threads"`` (real overlap).
-        autotune: let the cost-based optimizer *choose* codec, worker
-            count, executor, and semi-external solver from predicted cost
-            (calibrated when a profile is supplied) instead of trusting
-            this config's values.  A planning knob: every choice the
-            optimizer can make produces byte-identical SCC labels.
-        objective: what the optimizer minimizes — ``"io"`` (predicted
-            total block I/Os) or ``"wallclock"`` (predicted seconds from
-            trace-calibrated per-executor constants).
+            sharding only redistributes I/O across channels.  Shards run
+            in submission order on the calling thread, so crash ordinals
+            and traces are deterministic at every ``K``.
 
-    Construction validates the execution knobs (``workers >= 1``, a known
-    ``executor``, a known ``objective``) so programmatically built
-    configs — the optimizer enumerates many — fail fast at the library
-    level rather than deep inside a run.
+    Construction validates ``workers >= 1`` so programmatically built
+    configs fail fast at the library level rather than deep inside a run.
     """
 
     trim_type1: bool = False
@@ -109,29 +94,11 @@ class ExtSCCConfig:
     pool_readahead: int = 8
     pool_coalesce_writes: int = 4
     workers: int = 1
-    executor: str = "serial"
-    autotune: bool = False
-    objective: str = "io"
 
     def __post_init__(self) -> None:
-        # Local import: repro.io.parallel must stay importable without
-        # core.config (no cycle the other way exists today, but keep it so).
-        from repro.exceptions import ReproError
-        from repro.io.parallel import EXECUTOR_BACKENDS
-
         if self.workers < 1:
             raise ReproError(
                 f"workers must be at least 1, got {self.workers}"
-            )
-        if self.executor not in EXECUTOR_BACKENDS:
-            raise ReproError(
-                f"unknown executor {self.executor!r}; "
-                f"choose from {sorted(EXECUTOR_BACKENDS)}"
-            )
-        if self.objective not in OBJECTIVES:
-            raise ReproError(
-                f"unknown objective {self.objective!r}; "
-                f"choose from {sorted(OBJECTIVES)}"
             )
 
     @classmethod
@@ -159,19 +126,13 @@ class ExtSCCConfig:
         :class:`~repro.recovery.checkpoint.CheckpointManager` stores this
         dict in the journal header and refuses to resume on mismatch.
 
-        ``workers`` and ``executor`` are *execution* knobs, not algorithm
-        knobs: every K produces the same levels, labels, and total ledger,
-        so a journal written at K=1 may be resumed at K=4 (and vice versa)
-        — they are excluded from the fingerprint.  ``autotune`` and
-        ``objective`` are *planning* knobs with the same property (the
-        optimizer only picks among label-identical alternatives), so they
-        are excluded too.
+        ``workers`` is an *execution* knob, not an algorithm knob: every K
+        produces the same levels, labels, and total ledger, so a journal
+        written at K=1 may be resumed at K=4 (and vice versa) — it is
+        excluded from the fingerprint.
         """
         fp = asdict(self)
         fp.pop("workers", None)
-        fp.pop("executor", None)
-        fp.pop("autotune", None)
-        fp.pop("objective", None)
         return fp
 
     @property

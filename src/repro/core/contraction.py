@@ -551,9 +551,8 @@ def build_contract_plan(
         pool = device.worker_pool
         if pool is not None and pool.workers > 1:
             # The two sorts read the same input and write disjoint
-            # outputs, so they are one barrier of two independent tasks.
-            # The serial backend runs them in exactly the original order
-            # (eout, ein).
+            # outputs, so they are one barrier of two independent tasks,
+            # run in exactly the original order (eout, ein).
             eout, ein = pool.run(
                 [
                     lambda: edges.sorted_by_src(memory, unique=unique),

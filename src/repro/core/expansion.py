@@ -197,8 +197,7 @@ def build_expand_plan(
     def run_augments(ctx: dict):
         # The two augments read the same inputs and write disjoint
         # outputs — one barrier of two independent tasks when a worker
-        # pool is attached (the serial backend preserves the original
-        # e_in-then-e_out order).
+        # pool is attached, run in the original e_in-then-e_out order.
         pool = device.worker_pool
         if pool is not None and pool.workers > 1:
             return pool.run([augment_in, augment_out])

@@ -23,7 +23,7 @@ happens and the semi-external solver runs directly — the sharp cost drop at
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import ExtSCCConfig
@@ -35,16 +35,13 @@ from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.io.blocks import DEFAULT_BLOCK_SIZE, BlockDevice
 from repro.io.codecs import CODECS
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import EXECUTOR_BACKENDS, MakespanMeter, WorkerPool
+from repro.io.parallel import MakespanMeter, WorkerPool
 from repro.io.pool import SharedBufferPool
 from repro.io.stats import RECOVERY_PHASE, IOBudget, IOSnapshot, IOStats
-from repro.plan import ExtPlan, PlanExecutor, Span, TraceLedger
+from repro.plan import ExtPlan, PlanExecutor, TraceLedger
 from repro.semi_external import SEMI_SCC_SOLVERS, build_semi_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (recovery imports us)
-    from repro.analysis.calibration import CalibrationProfile
-    from repro.analysis.planner import TuningDecision
-    from repro.plan.cache import PlanCache
     from repro.recovery.checkpoint import CheckpointManager, ResumeState
     from repro.recovery.fault import FaultSchedule
     from repro.recovery.policy import FaultPolicy
@@ -113,11 +110,9 @@ class ExtSCCOutput:
             with next-level size estimates trued up to the measured sizes
             (so a calibrated model can re-price them post-run).
         bytes_by_width: the run's payload ledger delta —
-            ``{logical width: (records, stored bytes)}`` — what
-            :meth:`~repro.analysis.calibration.CalibrationProfile.ingest_run`
-            fits per-codec stored widths from.
-        tuning: the autotuner's decision when the run was autotuned
-            (``None`` on the static path).
+            ``{logical width: (records, stored bytes)}`` — from which a
+            :class:`~repro.analysis.cost_model.CostModel` can be given
+            per-width stored bytes (``bytes_per_record``).
         health: the fault-tolerance ledger delta of the run — retries,
             read-repairs, re-dispatched tasks, parity writes, escalations,
             simulated backoff seconds, and degradation events (see
@@ -141,7 +136,6 @@ class ExtSCCOutput:
     trace: TraceLedger = field(default_factory=TraceLedger)
     plans: List[ExtPlan] = field(default_factory=list)
     bytes_by_width: Dict[int, Tuple[int, int]] = field(default_factory=dict)
-    tuning: Optional["TuningDecision"] = None
     health: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -163,17 +157,10 @@ class ExtSCC:
         config: pipeline configuration; defaults to plain Ext-SCC
             (:meth:`ExtSCCConfig.baseline`).  Use
             :meth:`ExtSCCConfig.optimized` for Ext-SCC-Op.
-        calibration: optional
-            :class:`~repro.analysis.calibration.CalibrationProfile`; the
-            planner then prices every plan with the fitted per-codec
-            stored widths instead of the analytic logical widths.
-            Predictions only — execution and labels never depend on it.
     """
 
-    def __init__(self, config: Optional[ExtSCCConfig] = None,
-                 calibration: Optional["CalibrationProfile"] = None) -> None:
+    def __init__(self, config: Optional[ExtSCCConfig] = None) -> None:
         self.config = config if config is not None else ExtSCCConfig.baseline()
-        self.calibration = calibration
         if self.config.semi_scc not in SEMI_SCC_SOLVERS:
             raise ReproError(
                 f"unknown semi-external solver {self.config.semi_scc!r}; "
@@ -183,15 +170,6 @@ class ExtSCC:
             raise ReproError(
                 f"unknown codec {self.config.codec!r}; "
                 f"choose from {sorted(CODECS)}"
-            )
-        if self.config.workers < 1:
-            raise ReproError(
-                f"workers must be at least 1, got {self.config.workers}"
-            )
-        if self.config.executor not in EXECUTOR_BACKENDS:
-            raise ReproError(
-                f"unknown executor {self.config.executor!r}; "
-                f"choose from {sorted(EXECUTOR_BACKENDS)}"
             )
 
     def nodes_fit(self, num_nodes: int, memory: MemoryBudget, block_size: int) -> bool:
@@ -206,7 +184,6 @@ class ExtSCC:
         nodes: Optional[NodeFile] = None,
         on_iteration: Optional[Callable[[IterationRecord], None]] = None,
         checkpoint: Optional["CheckpointManager"] = None,
-        tuning: Optional["TuningDecision"] = None,
     ) -> ExtSCCOutput:
         """Compute all SCCs of the graph stored in ``edges``.
 
@@ -226,12 +203,6 @@ class ExtSCC:
                 restarting; journal-validation reads of a resume are
                 charged to the ``recovery`` phase.  Checkpointing an
                 uninterrupted run costs zero simulated I/O.
-            tuning: the :func:`~repro.analysis.planner.autotune_config`
-                decision that chose this run's config.  Recorded on the
-                output and in every plan's rewrite log; a cold search
-                additionally logs a ``planning``-phase span with its wall
-                time (a warm cache hit logs none — that *is* the cache's
-                win).
 
         Returns:
             An :class:`ExtSCCOutput` with the labeling and statistics.
@@ -252,13 +223,11 @@ class ExtSCC:
                 readahead=config.pool_readahead,
                 coalesce_writes=config.pool_coalesce_writes,
             )
-        created_pool: Optional[WorkerPool] = None
         if device.worker_pool is None and config.workers > 1:
             # The shard width of every partitionable operator downstream.
             # Task-level only: shard contents and charges are identical to
-            # the serial pipeline, so any K reproduces the K=1 ledger.
-            created_pool = WorkerPool(workers=config.workers, backend=config.executor)
-            device.attach_workers(created_pool)
+            # the unsharded pipeline, so any K reproduces the K=1 ledger.
+            device.attach_workers(WorkerPool(workers=config.workers))
         meter = MakespanMeter(device)
         start = time.perf_counter()
         # Wall-clock per top-level phase is reported as a delta against the
@@ -285,7 +254,7 @@ class ExtSCC:
             return self._pipeline(
                 device, edges, memory, nodes, on_iteration, checkpoint,
                 state, stats, run_start, recovery_io, start, meter,
-                seconds_start, bytes_start, tuning, health_start,
+                seconds_start, bytes_start, health_start,
             )
         except (IOBudgetExceeded, SimulatedCrash):
             if checkpoint is None:
@@ -297,12 +266,6 @@ class ExtSCC:
                     if name not in preexisting:
                         device.delete(name)
             raise
-        finally:
-            if created_pool is not None:
-                # Drop the worker threads this run spun up.  The pool
-                # object stays attached and usable — a later run on the
-                # same device lazily recreates them.
-                created_pool.close()
 
     def _pipeline(
         self,
@@ -320,7 +283,6 @@ class ExtSCC:
         meter: MakespanMeter,
         seconds_start: Optional[Dict[str, float]] = None,
         bytes_start: Optional[Dict[str, Tuple[int, int]]] = None,
-        tuning: Optional["TuningDecision"] = None,
         health_start: Optional[Dict[str, object]] = None,
     ) -> ExtSCCOutput:
         """The contract / semi / expand pipeline, parameterized by an
@@ -341,26 +303,10 @@ class ExtSCC:
 
         config = self.config
         resumed = state is not None and state.resumed
-        if self.calibration is not None:
-            model = self.calibration.model(
-                device.block_size, memory.nbytes, config.codec
-            )
-        else:
-            model = CostModel(device.block_size, memory.nbytes)
+        model = CostModel(device.block_size, memory.nbytes)
         trace = TraceLedger()
         plans: List[ExtPlan] = []
         executor = PlanExecutor(device, trace=trace)
-        if tuning is not None and not tuning.cache_hit:
-            # The one span of the planning phase: the knob search's wall
-            # time.  A warm cache hit records nothing here — "zero
-            # planning-phase spans" is the cache's observable win.
-            trace.record(Span(
-                plan="autotune", stage="search", phase="planning",
-                operators=(f"search:{len(tuning.candidates)} candidates",),
-                predicted_ios=None, reads=0, writes=0, random_ios=0,
-                records=len(tuning.candidates), bytes_stored=0, makespan=0,
-                wall_seconds=tuning.planning_seconds,
-            ))
 
         if state is not None and state.nodes is not None:
             nodes = state.nodes
@@ -414,7 +360,7 @@ class ExtSCC:
                             device, current_edges, current_nodes, memory,
                             config, level=i,
                         )
-                        optimize_plan(plan, model, config, decision=tuning)
+                        optimize_plan(plan, model, config)
                         hooks = (
                             checkpoint.plan_hooks(record_factory=record_for)
                             if checkpoint is not None else None
@@ -441,7 +387,7 @@ class ExtSCC:
                     device, current_edges, current_nodes, memory,
                     config.semi_scc,
                 )
-                optimize_plan(plan, model, config, decision=tuning)
+                optimize_plan(plan, model, config)
                 hooks = (
                     checkpoint.plan_hooks() if checkpoint is not None else None
                 )
@@ -463,7 +409,7 @@ class ExtSCC:
                         device, level, scc_prev, memory, config,
                         delete_input=checkpoint is None,
                     )
-                    optimize_plan(plan, model, config, decision=tuning)
+                    optimize_plan(plan, model, config)
                     hooks = (
                         checkpoint.plan_hooks(level=level)
                         if checkpoint is not None else None
@@ -512,7 +458,6 @@ class ExtSCC:
                 width: (count, stored)
                 for width, (count, stored) in stats.bytes_by_width.items()
             },
-            tuning=tuning,
             health=stats.health.delta(health_start or {}),
         )
 
@@ -549,10 +494,6 @@ def compute_sccs(
     config: Optional[ExtSCCConfig] = None,
     io_budget: Optional[int] = None,
     on_iteration: Optional[Callable[[IterationRecord], None]] = None,
-    autotune: bool = False,
-    calibration: Optional["CalibrationProfile"] = None,
-    plan_cache: Optional["PlanCache"] = None,
-    objective: Optional[str] = None,
     fault_policy: Optional["FaultPolicy"] = None,
     fault_schedule: Optional["FaultSchedule"] = None,
     parity: bool = False,
@@ -573,18 +514,6 @@ def compute_sccs(
         io_budget: optional block-I/O cap (raises
             :class:`~repro.exceptions.IOBudgetExceeded`).
         on_iteration: optional per-iteration progress callback.
-        autotune: let the cost-based optimizer choose codec, workers,
-            executor, and semi-external solver
-            (:func:`~repro.analysis.planner.autotune_config`) before the
-            run; also enabled by ``config.autotune``.  The chosen config
-            then runs exactly as the same static config would — labels and
-            ledgers are byte-identical.
-        calibration: fitted cost constants for the search and the plan
-            predictions.
-        plan_cache: optional :class:`~repro.plan.PlanCache`; repeated
-            queries with the same stats fingerprint skip the search.
-        objective: override ``config.objective`` (``"io"`` /
-            ``"wallclock"``).
         fault_policy: retry/backoff policy for transient faults
             (:class:`~repro.recovery.policy.FaultPolicy`); the device
             default applies when ``None``.
@@ -601,24 +530,6 @@ def compute_sccs(
     """
     if config is None:
         config = ExtSCCConfig.optimized() if optimized else ExtSCCConfig.baseline()
-    if objective is not None:
-        config = replace(config, objective=objective)
-    tuning: Optional["TuningDecision"] = None
-    if autotune or config.autotune:
-        from repro.analysis.planner import autotune_config
-
-        edges = list(edges)
-        if num_nodes is not None:
-            n = num_nodes
-        elif edges:
-            n = 1 + max(max(u, v) for u, v in edges)
-        else:
-            n = 0
-        tuning = autotune_config(
-            n, len(edges), memory_bytes, block_size, config=config,
-            profile=calibration, cache=plan_cache,
-        )
-        config = tuning.config(config)
     budget = IOBudget(io_budget) if io_budget is not None else None
     if config.workers > 1 or parity:
         from repro.io.parallel import StripedDevice
@@ -640,7 +551,6 @@ def compute_sccs(
         node_file = NodeFile.from_ids(
             device, "input-nodes", range(num_nodes), memory, presorted=True
         )
-    return ExtSCC(config, calibration=calibration).run(
-        device, edge_file, memory, nodes=node_file,
-        on_iteration=on_iteration, tuning=tuning,
+    return ExtSCC(config).run(
+        device, edge_file, memory, nodes=node_file, on_iteration=on_iteration,
     )

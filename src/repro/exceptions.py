@@ -144,8 +144,8 @@ class RetryExhaustedError(StorageError):
 class WorkerCrashError(ReproError):
     """A worker executing a pool task died or hung mid-task.
 
-    Raised inside the task by a scheduled worker fault (``worker-die`` /
-    ``worker-hang``) or mapped from a real ``BrokenProcessPool``.  The
+    Raised at dispatch by a scheduled worker fault (``worker-die`` /
+    ``worker-hang``).  The
     :class:`~repro.io.parallel.WorkerPool` supervisor catches it and
     re-dispatches the task (tasks are pure, so replay is safe).
     """

@@ -183,8 +183,7 @@ class BlockDevice:
         self.worker_pool = worker_pool
         if worker_pool is not None:
             # Back-reference for the pool's supervisor: scheduled worker
-            # faults, the per-task deadline, and the health ledger all
-            # live on the device side.
+            # faults and the health ledger live on the device side.
             worker_pool._device = self
 
     # -- file namespace ----------------------------------------------------

@@ -1,5 +1,5 @@
-"""Sharded multi-channel parallelism: striped devices, worker pools, and
-the makespan metric.
+"""Sharded multi-channel I/O: striped devices, the supervised shard
+loop, and the makespan metric.
 
 The paper's model charges every block I/O to one global ledger, which
 measures *work*.  A disk array (or SSD with independent channels) overlaps
@@ -21,29 +21,22 @@ without disturbing the first:
   residual).  With one channel the makespan equals the total exactly, so
   ``K=1`` reproduces today's numbers.
 
-* :class:`WorkerPool` — a tiny executor abstraction (``serial`` or
-  ``threads``) that partitionable operators use to run shards.  The
-  *serial* backend executes thunks in submission order on the calling
-  thread, so ledgers and fault-injection ordinals stay bit-for-bit
-  deterministic; the *threads* backend overlaps shards and relies on the
-  ledger's internal lock (totals are order-independent sums).  Operators
-  are factored so the records and charges they produce are identical
-  under either backend — parallelism here is task-level, never
-  record-level, which is what keeps the K=1 invariant exact.
+* :class:`WorkerPool` — the shard width ``K`` plus a supervised loop that
+  partitionable operators run their shards through, in submission order
+  on the calling thread.  Ledgers and fault-injection ordinals are
+  therefore bit-for-bit deterministic, and a shard killed by a scheduled
+  worker fault is re-dispatched once (shards are pure).
 
-Makespan is a property of the striping geometry, not of the executor:
-the same run measured on a ``StripedDevice`` reports the same makespan
-whether its shards ran on threads or serially.  The scaling benchmark
-exploits this — it runs the deterministic serial backend and reports the
-modeled critical path.
+Makespan is a property of the striping geometry: it is a *modelled*
+number derived from the per-channel ledgers, so two runs of one
+configuration report the same makespan.  On CPython, task-level threads
+did not overlap the pure-Python shards enough to beat this serial loop
+on wall time, so the loop is the only execution path.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.exceptions import StorageError, WorkerCrashError
 from repro.io.blocks import BlockDevice, DiskFile
@@ -54,82 +47,42 @@ __all__ = [
     "WorkerPool",
     "StripedDevice",
     "MakespanMeter",
-    "EXECUTOR_BACKENDS",
     "shard_ranges",
 ]
 
 T = TypeVar("T")
 
-EXECUTOR_BACKENDS = ("serial", "threads")
-"""Recognized :class:`WorkerPool` backends.  ``serial`` is the default
-everywhere: it keeps crash ordinals and hypothesis traces deterministic.
-``threads`` is opt-in for callers that want real overlap."""
-
 
 class WorkerPool:
-    """A fixed-width pool of workers behind a two-backend facade.
+    """The shard width ``K`` and the supervised loop shards run through.
 
     Args:
         workers: shard width ``K``; partitionable operators split their
             input into up to ``K`` shards.
-        backend: ``"serial"`` (run thunks in order on the calling thread),
-            or ``"threads"`` (a :class:`ThreadPoolExecutor` of ``K``
-            threads).
 
-    Both backends present the same barrier semantics: :meth:`run` returns
-    results in submission order and re-raises the first exception.
+    :meth:`run` executes thunks in submission order and returns their
+    results in that order; the first exception propagates.
     """
 
-    def __init__(self, workers: int = 1, backend: str = "serial") -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor backend {backend!r}; choose from {EXECUTOR_BACKENDS}"
-            )
         self.workers = workers
-        self.backend = backend
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
         # Back-reference to the device this pool is attached to (set by
         # BlockDevice.attach_workers).  Through it the supervisor reaches
-        # the fault schedule (simulated worker faults), the fault policy
-        # (per-task deadline), and the health ledger.  None for pools used
-        # standalone — every access is guarded.
+        # the fault schedule (simulated worker faults) and the health
+        # ledger.  None for pools used standalone — every access is
+        # guarded.
         self._device: Optional[BlockDevice] = None
-        # Nested submissions (a parallel sort inside a parallel operator)
-        # run inline on the worker thread: with all K threads occupied by
-        # outer tasks, queued inner tasks would never start and the outer
-        # barrier would deadlock waiting on them.
-        self._in_task = threading.local()
-
-    def _threads(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
-            return self._executor
 
     # -- supervision -------------------------------------------------------
 
-    def _health(self):
-        device = self._device
-        return device.stats.health if device is not None else None
-
-    def _record_degradation(self, message: str) -> None:
-        health = self._health()
-        if health is not None:
-            health.record_event(message)
-
     def _record_redispatch(self, exc: Exception) -> None:
-        health = self._health()
-        if health is not None:
+        device = self._device
+        if device is not None:
+            health = device.stats.health
             health.redispatches += 1
             health.record_event(f"re-dispatched task after: {exc}")
-
-    def _task_timeout(self) -> Optional[float]:
-        device = self._device
-        policy = getattr(device, "fault_policy", None) if device is not None else None
-        return policy.task_timeout if policy is not None else None
 
     def _guard(self, thunk: Callable[[], T]) -> Callable[[], T]:
         """Wrap a thunk so scheduled worker faults fire at dispatch.
@@ -156,118 +109,32 @@ class WorkerPool:
         return call
 
     def _call_supervised(self, thunk: Callable[[], T]) -> T:
-        """Run one thunk inline, re-dispatching it once if a scheduled
-        worker fault kills the first dispatch (tasks are pure)."""
+        """Run one thunk, re-dispatching it once if a scheduled worker
+        fault kills the first dispatch (tasks are pure)."""
         try:
             return self._guard(thunk)()
         except WorkerCrashError as exc:
             self._record_redispatch(exc)
             return thunk()
 
-    def _inline(self) -> bool:
-        return (
-            self.backend == "serial"
-            or self.workers == 1
-            or getattr(self._in_task, "active", False)
-        )
+    def run(self, thunks: Iterable[Callable[[], T]]) -> List[T]:
+        """Execute ``thunks`` in order; results in submission order.
 
-    def _wrap(self, thunk: Callable[[], T]) -> Callable[[], T]:
-        def call() -> T:
-            self._in_task.active = True
-            try:
-                return thunk()
-            finally:
-                self._in_task.active = False
-
-        return call
-
-    def run(self, thunks: Sequence[Callable[[], T]]) -> List[T]:
-        """Execute all ``thunks``; barrier; results in submission order.
-
-        Supervised: a task killed by a scheduled worker fault, a worker
-        whose future times out past the policy's per-task deadline, or a
-        thread backend that cannot accept submissions is detected here and
-        the affected task re-dispatched inline (tasks are pure, so replay
-        is safe); the re-dispatch and any executor degradation are
-        recorded in the device's health ledger.
+        ``thunks`` may be a lazy stream: each thunk runs as soon as it is
+        produced, so a producer that buffers input (run formation) never
+        holds more than one shard.  Supervised: a task killed by a
+        scheduled worker fault is re-dispatched (tasks are pure, so replay
+        is safe) and the re-dispatch recorded in the device's health
+        ledger.
         """
-        thunks = list(thunks)
-        if self._inline() or len(thunks) <= 1:
-            return [self._call_supervised(thunk) for thunk in thunks]
-        try:
-            futures = [
-                self._threads().submit(self._wrap(self._guard(thunk)))
-                for thunk in thunks
-            ]
-        except RuntimeError as exc:  # executor shut down mid-abort
-            self._record_degradation(f"executor degraded threads -> serial: {exc}")
-            return [self._call_supervised(thunk) for thunk in thunks]
-        timeout = self._task_timeout()
-        results: List[T] = []
-        for thunk, future in zip(thunks, futures):
-            try:
-                results.append(future.result(timeout=timeout))
-            except WorkerCrashError as exc:
-                self._record_redispatch(exc)
-                results.append(self._wrap(thunk)())
-            except FutureTimeoutError:
-                exc = WorkerCrashError(
-                    "worker-hang", f"no result within {timeout}s deadline"
-                )
-                self._record_redispatch(exc)
-                results.append(self._wrap(thunk)())
-        return results
+        return [self._call_supervised(thunk) for thunk in thunks]
 
     def map(self, fn: Callable[[T], object], items: Iterable[T]) -> List[object]:
         """``run`` over one function applied to each item."""
         return self.run([(lambda item=item: fn(item)) for item in items])
 
-    def run_windowed(
-        self, thunks: Iterable[Callable[[], T]], window: Optional[int] = None
-    ) -> Iterator[T]:
-        """Execute a (possibly long) stream of thunks with at most
-        ``window`` in flight, yielding results in submission order.
-
-        Classic run formation uses this to overlap writing run *i* with
-        buffering run *i+1* without holding every run in memory.
-        """
-        limit = max(1, window if window is not None else self.workers)
-        if self._inline():
-            for thunk in thunks:
-                yield self._call_supervised(thunk)
-            return
-        pending: List[Tuple[Callable[[], T], object]] = []
-        executor = self._threads()
-        timeout = self._task_timeout()
-        for thunk in thunks:
-            pending.append((thunk, executor.submit(self._wrap(self._guard(thunk)))))
-            while len(pending) >= limit:
-                yield self._drain_one(pending, timeout)
-        while pending:
-            yield self._drain_one(pending, timeout)
-
-    def _drain_one(self, pending: List, timeout: Optional[float]) -> T:
-        thunk, future = pending.pop(0)
-        try:
-            return future.result(timeout=timeout)
-        except (WorkerCrashError, FutureTimeoutError) as exc:
-            self._record_redispatch(exc)
-            return self._wrap(thunk)()
-
-    def close(self) -> None:
-        """Shut the thread backend down (no-op for serial).
-
-        Safe to call twice: the executor is detached under the lock first.
-        The pool stays usable — the next submission lazily recreates its
-        executor.
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WorkerPool(workers={self.workers}, backend={self.backend!r})"
+        return f"WorkerPool(workers={self.workers})"
 
 
 def shard_ranges(num_blocks: int, shards: int) -> List[Tuple[int, int]]:

@@ -114,11 +114,11 @@ def form_runs(
     formation pass of external merge sort.
 
     With a :class:`~repro.io.parallel.WorkerPool` attached to the device,
-    writing run *i* overlaps buffering run *i+1* (a window of at most
-    ``workers`` runs is in flight).  Run *contents* are untouched — the
-    buffers are cut at the same record boundaries and sorted by the same
-    key — so the run files, and therefore the whole sort's ledger, are
-    identical to the serial pass.
+    each run is written as one supervised task, dispatched as soon as its
+    buffer fills.  Run *contents* are untouched — the buffers are cut at
+    the same record boundaries and sorted by the same key — so the run
+    files, and therefore the whole sort's ledger, are identical to the
+    unsupervised pass.
 
     Returns:
         The list of run files (possibly empty for empty input).
@@ -141,7 +141,7 @@ def form_runs(
             (lambda buf=buf: _write_run(device, buf, record_size, key, prefix, codec))
             for buf in buffers()
         )
-        return list(pool.run_windowed(thunks, window=pool.workers))
+        return pool.run(thunks)
     return [
         _write_run(device, buf, record_size, key, prefix, codec) for buf in buffers()
     ]

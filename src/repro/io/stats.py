@@ -57,7 +57,7 @@ class HealthLedger:
     how many transient attempts were retried, how many blocks were
     read-repaired from parity, how many pool tasks were re-dispatched
     after a worker died or hung, how many simulated backoff seconds the
-    retry policy charged, and which executor degradations happened.
+    retry policy charged, and which degradation events happened.
     Surfaced in ``scc -v``, bench tables/JSON, and ``--trace-json``.
     """
 
@@ -79,8 +79,8 @@ class HealthLedger:
         # top-level phase label -> simulated backoff seconds spent there
         # (the policy's per-phase deadline is enforced against this).
         self.backoff_by_phase: Dict[str, float] = {}
-        # Human-readable degradation events, in order: executor fallbacks,
-        # channel outages survived, re-dispatched shards, ...
+        # Human-readable degradation events, in order: channel outages
+        # survived, read-repaired blocks, re-dispatched shards, ...
         self.events: List[str] = []
 
     def record_event(self, message: str) -> None:

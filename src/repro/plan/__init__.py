@@ -9,7 +9,6 @@ a :class:`TraceLedger`, and fires checkpoint commits declared on
 ``Materialize`` nodes.
 """
 
-from repro.plan.cache import PlanCache
 from repro.plan.executor import PlanExecutor
 from repro.plan.ops import (
     Dedupe,
@@ -27,7 +26,6 @@ from repro.plan.trace import Span, TraceLedger
 __all__ = [
     "ExtPlan",
     "PlanStage",
-    "PlanCache",
     "PlanExecutor",
     "Span",
     "TraceLedger",

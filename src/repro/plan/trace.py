@@ -5,8 +5,8 @@ Every stage a :class:`~repro.plan.PlanExecutor` runs emits one
 planner's predicted blocks, and the measured I/O delta (blocks, payload
 bytes, busiest-channel makespan contribution, wall time).  The ledger is
 surfaced by ``repro scc --trace-json`` and by bench reporting, and the
-calibration benchmark checks each span's prediction against its
-measurement.
+trace-envelope benchmark checks the predictions against the
+measurements.
 """
 
 from __future__ import annotations
@@ -127,14 +127,11 @@ class TraceLedger:
         Args:
             indent: JSON indentation.
             plans: optional executed :class:`~repro.plan.ExtPlan` list —
-                each is serialized with its rewrite log (including the
-                autotuner's chosen/runner-up lines) and per-operator
+                each is serialized with its rewrite log and per-operator
                 ``predicted_ios`` / ``predicted_makespan``, so one
                 artifact carries everything offline analysis needs.
             context: optional run context (knobs, sizes, the payload
-                ledger) — what
-                :meth:`~repro.analysis.calibration.CalibrationProfile.ingest_trace_json`
-                fits constants from.
+                ledger).
         """
         payload: dict = {
             "spans": [asdict(s) for s in self.spans],

@@ -117,8 +117,9 @@ FAULT_KINDS = (
     ``duration`` device-operation attempts; reads are served degraded from
     parity, writes retry until the outage window expires.
 ``worker-die`` / ``worker-hang``
-    A pool task fails at dispatch (crash, or a hang that trips the
-    per-task deadline); the :class:`WorkerPool` supervisor re-dispatches.
+    A pool task fails at dispatch (a simulated crash, or a simulated
+    hang past its deadline); the :class:`WorkerPool` supervisor
+    re-dispatches.
 """
 
 _WORKER_KINDS = ("worker-die", "worker-hang")

@@ -42,8 +42,6 @@ class FaultPolicy:
         phase_deadline: cap on cumulative backoff seconds within one
             top-level phase; crossing it escalates immediately even if
             attempts remain (the per-phase deadline of the fault model).
-        task_timeout: per-task deadline, in seconds, for pool workers
-            (``None`` disables the supervisor's timeout).
         sleep: really sleep the backoff instead of only accounting it.
     """
 
@@ -53,7 +51,6 @@ class FaultPolicy:
     jitter: float = 0.1
     seed: int = 0
     phase_deadline: Optional[float] = None
-    task_timeout: Optional[float] = None
     sleep: bool = False
 
     def __post_init__(self) -> None:
@@ -89,7 +86,7 @@ class FaultPolicy:
     @classmethod
     def parse(cls, text: str) -> "FaultPolicy":
         """Build a policy from a CLI spec like
-        ``"retries=5,backoff=0.01,factor=2,jitter=0.1,seed=7,deadline=30,timeout=5,sleep=1"``.
+        ``"retries=5,backoff=0.01,factor=2,jitter=0.1,seed=7,deadline=30,sleep=1"``.
 
         Every key is optional; unknown keys raise ``ValueError`` with the
         accepted vocabulary, which argparse surfaces as a usage error.
@@ -102,7 +99,6 @@ class FaultPolicy:
             "jitter": ("jitter", float),
             "seed": ("seed", int),
             "deadline": ("phase_deadline", float),
-            "timeout": ("task_timeout", float),
             "sleep": ("sleep", lambda v: v not in ("0", "false", "no")),
         }
         text = text.strip()

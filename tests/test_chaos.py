@@ -10,8 +10,6 @@ exactly the same I/Os.
 
 import os
 import stat
-import threading
-import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -67,7 +65,7 @@ class TestFaultPolicy:
     def test_parse_full_spec(self):
         policy = FaultPolicy.parse(
             "retries=5,backoff=0.01,factor=3,jitter=0,seed=9,"
-            "deadline=2.5,timeout=1.5,sleep=1"
+            "deadline=2.5,sleep=1"
         )
         assert policy.max_retries == 5
         assert policy.backoff_base == 0.01
@@ -75,7 +73,6 @@ class TestFaultPolicy:
         assert policy.jitter == 0.0
         assert policy.seed == 9
         assert policy.phase_deadline == 2.5
-        assert policy.task_timeout == 1.5
         assert policy.sleep is True
 
     def test_parse_empty_is_default(self):
@@ -329,13 +326,11 @@ class TestParityStore:
 # Worker supervision
 
 
-def _supervised_pool(backend="threads", workers=2, schedule=None, policy=None):
+def _supervised_pool(workers=2, schedule=None):
     device = BlockDevice(block_size=64)
     if schedule is not None:
         schedule.attach(device)
-    if policy is not None:
-        device.attach_policy(policy)
-    pool = WorkerPool(workers=workers, backend=backend)
+    pool = WorkerPool(workers=workers)
     device.attach_workers(pool)
     return device, pool
 
@@ -344,10 +339,7 @@ class TestWorkerSupervision:
     def test_dead_worker_task_is_redispatched(self):
         schedule = FaultSchedule.single("worker-die", at_task=1)
         device, pool = _supervised_pool(schedule=schedule)
-        try:
-            assert pool.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
-        finally:
-            pool.close()
+        assert pool.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
         health = device.stats.health
         assert health.redispatches == 1
         assert any("re-dispatched" in event for event in health.events)
@@ -355,85 +347,33 @@ class TestWorkerSupervision:
     def test_hung_worker_task_is_redispatched(self):
         schedule = FaultSchedule.single("worker-hang", at_task=2)
         device, pool = _supervised_pool(schedule=schedule)
-        try:
-            assert pool.run([lambda: "a", lambda: "b"]) == ["a", "b"]
-        finally:
-            pool.close()
+        assert pool.run([lambda: "a", lambda: "b"]) == ["a", "b"]
         assert device.stats.health.redispatches == 1
 
     def test_serial_inline_path_is_supervised_too(self):
         schedule = FaultSchedule.single("worker-die", at_task=1)
-        device, pool = _supervised_pool(backend="serial", workers=1,
-                                        schedule=schedule)
+        device, pool = _supervised_pool(workers=1, schedule=schedule)
         assert pool.run([lambda: 10, lambda: 20]) == [10, 20]
         assert device.stats.health.redispatches == 1
 
-    def test_run_windowed_redispatches(self):
+    def test_lazy_thunk_stream_redispatches(self):
         schedule = FaultSchedule.single("worker-die", at_task=1)
         device, pool = _supervised_pool(schedule=schedule)
-        try:
-            out = list(pool.run_windowed((lambda i=i: i for i in range(5)),
-                                         window=2))
-        finally:
-            pool.close()
+        out = pool.run(lambda i=i: i for i in range(5))
         assert out == list(range(5))
-        assert device.stats.health.redispatches == 1
-
-    def test_task_deadline_times_out_and_replays(self):
-        device, pool = _supervised_pool(
-            policy=FaultPolicy(task_timeout=0.05)
-        )
-        slow_done = threading.Event()
-
-        def slow():
-            if not slow_done.is_set():
-                slow_done.set()
-                time.sleep(0.3)
-            return "slow"
-
-        try:
-            assert pool.run([slow, lambda: "fast"]) == ["slow", "fast"]
-        finally:
-            pool.close()
         assert device.stats.health.redispatches == 1
 
     def test_faults_never_touch_io_ledger(self):
         schedule = FaultSchedule.single("worker-die", at_task=1)
         device, pool = _supervised_pool(schedule=schedule)
         f = device.create("data", record_size=2)
-        try:
-            pool.run([
-                lambda: device.append_block(f, [(1, 1)]),
-                lambda: device.append_block(f, [(2, 2)]),
-            ])
-        finally:
-            pool.close()
+        pool.run([
+            lambda: device.append_block(f, [(1, 1)]),
+            lambda: device.append_block(f, [(2, 2)]),
+        ])
         # the re-dispatched task charged exactly one write, like a clean run
         assert device.stats.total == 2
         assert device.stats.health.redispatches == 1
-
-    def test_close_twice_is_safe(self):
-        _, pool = _supervised_pool()
-        pool.run([lambda: 1, lambda: 2])
-        pool.close()
-        pool.close()
-        # and the pool stays usable: executors are lazily recreated
-        assert pool.run([lambda: 3, lambda: 4]) == [3, 4]
-        pool.close()
-
-    def test_close_detaches_executor_despite_interrupt(self):
-        class Exploding:
-            def shutdown(self, wait=True):
-                raise KeyboardInterrupt
-
-        pool = WorkerPool(workers=2, backend="threads")
-        pool._executor = Exploding()
-        with pytest.raises(KeyboardInterrupt):
-            pool.close()
-        assert pool._executor is None
-        # still usable: the next submission recreates a thread executor
-        assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
-        pool.close()
 
 
 # ---------------------------------------------------------------------------

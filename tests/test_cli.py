@@ -272,6 +272,99 @@ class TestExplain:
         assert code == 0
         assert "(0 iterations)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--node-retention", "nan"),
+        ("--node-retention", "inf"),
+        ("--node-retention", "-0.5"),
+        ("--node-retention", "0"),
+        ("--edge-growth", "-1"),
+        ("--edge-growth", "-inf"),
+        ("--edge-growth", "lots"),
+    ])
+    def test_nonsense_coefficient_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explain", "--nodes", "10000", "--edges", "40000",
+                  "-m", "40K", "-b", "512", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--nodes", "--edges"])
+    @pytest.mark.parametrize("value", ["-5", "inf", "nan"])
+    def test_bad_count_is_usage_error(self, capsys, flag, value):
+        argv = {"--nodes": "100", "--edges": "300"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explain", "--nodes", argv["--nodes"],
+                  "--edges", argv["--edges"]])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestInputValidation:
+    """Bad sizes and node counts are usage errors (exit 2) with one
+    ``error:`` line, never a traceback."""
+
+    @pytest.fixture
+    def two_cycle(self, tmp_path):
+        path = tmp_path / "two.txt"
+        write_edge_text(path, [(0, 1), (1, 0)])
+        return path
+
+    @pytest.mark.parametrize("command", ["scc", "bench", "serve"])
+    def test_nodes_below_an_endpoint(self, tmp_path, two_cycle, capsys,
+                                     command):
+        if command == "serve":
+            argv = ["serve", str(tmp_path / "store"), "--build",
+                    str(two_cycle), "--build-only"]
+        else:
+            argv = [command, str(two_cycle), "-m", "16K"]
+        assert main(argv + ["--nodes", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: edge (0, 1) has an endpoint outside --nodes 1 "
+            "(node ids must lie in 0..0)"
+        ]
+
+    def test_checkpointed_scc_checks_nodes_too(self, tmp_path, two_cycle,
+                                               capsys):
+        assert main(["scc", str(two_cycle), "-m", "16K", "--nodes", "1",
+                     "--checkpoint-dir", str(tmp_path / "ckpt")]) == 2
+        assert "outside --nodes 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scc", "bench"])
+    def test_negative_nodes_is_usage_error(self, two_cycle, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(two_cycle), "--nodes", "-3"])
+        assert excinfo.value.code == 2
+        assert "--nodes" in capsys.readouterr().err
+
+    def test_nodes_covering_the_edges_is_fine(self, two_cycle, capsys):
+        assert main(["bench", str(two_cycle), "-m", "16K",
+                     "--nodes", "2"]) == 0
+        assert "sccs: 1" in capsys.readouterr().out
+
+    def test_empty_edge_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert main(["scc", str(path), "-m", "16K"]) == 0
+        assert "sccs: 0" in capsys.readouterr().err
+        assert main(["bench", str(path), "-m", "16K"]) == 0
+        assert "sccs: 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["scc", "bench", "stats", "serve"])
+    @pytest.mark.parametrize("size", ["0", "-4K"])
+    def test_non_positive_block_size(self, tmp_path, two_cycle, capsys,
+                                     command, size):
+        if command == "serve":
+            argv = ["serve", str(tmp_path / "store"), "--build",
+                    str(two_cycle), "--build-only"]
+        else:
+            argv = [command, str(two_cycle)]
+        assert main(argv + [f"--block-size={size}"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: invalid block size {size!r}: must be a positive "
+            "number of bytes"
+        ]
+
 
 class TestVerboseScc:
     def test_verbose_prints_iterations(self, tmp_path, capsys):
@@ -356,112 +449,29 @@ class TestExplainAndTrace:
         assert ("semi-scc", "semi-scc") in stages
         assert "trace (" in capsys.readouterr().err
 
-
-class TestAutotuneCli:
-    @pytest.fixture
-    def edge_path(self, tmp_path):
-        path = tmp_path / "cycle.txt"
-        write_edge_text(path, cycle_graph(60).edges)
-        return path
-
-    def test_autotune_run_reports_decision(self, edge_path, capsys):
-        code = main(["scc", str(edge_path), "-m", "16K", "--autotune"])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "autotune[io]:" in err
-        assert "candidates" in err
-        assert "sccs: 1" in err
-
-    def test_explain_autotune_prints_candidate_table(self, edge_path, capsys):
-        code = main(["scc", str(edge_path), "-m", "16K", "--explain",
-                     "--autotune"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "rank codec" in out
-        assert "pred.I/Os" in out
-        assert "->" in out  # the chosen row's marker
-        assert "autotune[io]=" in out  # provenance in the plan rewrites
-
-    def test_objective_flag_threads_through(self, edge_path, capsys):
-        code = main(["scc", str(edge_path), "-m", "16K", "--autotune",
-                     "--objective", "wallclock"])
-        assert code == 0
-        assert "autotune[wallclock]:" in capsys.readouterr().err
-
-    def test_autotune_resume_refused(self, edge_path, capsys):
-        code = main(["scc", str(edge_path), "-m", "16K", "--autotune",
-                     "--resume"])
-        assert code == 2
-        assert "--autotune" in capsys.readouterr().err
-
-    def test_bench_autotune_only_for_ext_scc(self, edge_path, capsys):
-        code = main(["bench", str(edge_path), "-a", "DFS-SCC", "-m", "16K",
-                     "--autotune"])
-        assert code == 2
-        assert "Ext-SCC" in capsys.readouterr().err
-
-    def test_bench_autotune_reports_decision(self, edge_path, capsys):
-        code = main(["bench", str(edge_path), "-m", "16K", "--autotune"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "autotune[io]:" in out
-        assert "candidates" in out
-
-    def test_plan_cache_warm_hit(self, tmp_path, edge_path, capsys):
-        cache_path = tmp_path / "plans.json"
-        argv = ["scc", str(edge_path), "-m", "16K", "--autotune",
-                "--plan-cache", str(cache_path)]
-        assert main(argv) == 0
-        assert "candidates in" in capsys.readouterr().err
-        assert cache_path.exists()
-        assert main(argv) == 0
-        assert "(plan cache)" in capsys.readouterr().err
-
-    def test_calibration_written_and_reused(self, tmp_path, edge_path,
-                                            capsys):
-        cal_path = tmp_path / "calibration.json"
-        argv = ["scc", str(edge_path), "-m", "16K",
-                "--calibration", str(cal_path)]
-        assert main(argv) == 0
-        assert "calibration profile updated" in capsys.readouterr().err
-        import json
-
-        payload = json.loads(cal_path.read_text())
-        assert payload["runs"] == 1
-        assert main(argv) == 0
-        assert json.loads(cal_path.read_text())["runs"] == 2
-
-    def test_checkpoint_dir_gets_calibration_by_convention(
-            self, tmp_path, edge_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        code = main(["scc", str(edge_path), "-m", "300", "-b", "64",
-                     "--checkpoint-dir", str(ckpt)])
-        assert code == 0
-        assert (ckpt / "calibration.json").exists()
-
     def test_trace_json_carries_plans_and_context(self, tmp_path, edge_path):
         import json
 
         trace_path = tmp_path / "trace.json"
-        code = main(["scc", str(edge_path), "-m", "16K", "--autotune",
+        code = main(["scc", str(edge_path), "-m", "300", "-b", "64",
                      "--trace-json", str(trace_path)])
         assert code == 0
         payload = json.loads(trace_path.read_text())
         assert payload["plans"], "executed plans must be serialized"
         plan = payload["plans"][0]
-        assert any("autotune[io]=" in r for r in plan["rewrites"])
+        assert "codec=gap-varint" in plan["rewrites"]
         assert all("predicted_makespan" in op for op in plan["ops"])
         context = payload["context"]
-        assert context["codec"] == payload["context"]["autotune"][
-            "candidates"][context["autotune"]["chosen"]]["codec"]
+        assert context["codec"] == "gap-varint"
         assert context["bytes_by_width"]
-        planning = [s for s in payload["spans"] if s["phase"] == "planning"]
-        assert len(planning) == 1
+        assert not {"executor", "objective", "autotune", "cache"} & set(context)
+        assert all(s["phase"] != "planning" for s in payload["spans"])
 
 
 class TestExecutorCli:
-    """``--executor`` takes ``serial`` or ``threads``, and ``--solver`` the
-    registered solvers; the deleted choices are usage errors (exit 2)."""
+    """``--solver`` takes the registered solvers; the deleted choices and
+    the deleted ``--executor`` / autotune flags are usage errors
+    (exit 2)."""
 
     @pytest.fixture
     def edge_path(self, tmp_path):
@@ -474,12 +484,25 @@ class TestExecutorCli:
         ["bench", "--executor", "processes"],
         ["scc", "--solver", "coloring"],
         ["scc", "--solver", "parallel-fw-bw"],
-    ], ids=["scc-processes", "bench-processes", "coloring", "parallel-fw-bw"])
+        ["scc", "--executor", "threads"],
+        ["bench", "--executor", "threads"],
+        ["scc", "--autotune"],
+        ["bench", "--autotune"],
+        ["scc", "--objective", "io"],
+        ["bench", "--objective", "wallclock"],
+        ["scc", "--calibration", "profile.json"],
+        ["bench", "--calibration", "profile.json"],
+        ["scc", "--plan-cache", "plans.json"],
+    ], ids=["scc-processes", "bench-processes", "coloring", "parallel-fw-bw",
+            "scc-threads", "bench-threads", "scc-autotune", "bench-autotune",
+            "scc-objective", "bench-objective", "scc-calibration",
+            "bench-calibration", "scc-plan-cache"])
     def test_removed_choice_is_usage_error(self, edge_path, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main([argv[0], str(edge_path), *argv[1:]])
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
     def test_verbose_scc_reports_wall_by_phase(self, edge_path, capsys):
         assert main(["scc", str(edge_path), "-m", "300", "-b", "64",

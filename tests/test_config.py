@@ -63,11 +63,13 @@ class TestValidation:
             ExtSCCConfig(workers=-4)
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ReproError):
+        # One static execution path: the executor, autotune and objective
+        # fields are gone, so they are unknown keywords.
+        with pytest.raises(TypeError):
             ExtSCCConfig(executor="fibers")
 
     def test_unknown_objective_rejected(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(TypeError):
             ExtSCCConfig(objective="latency")
 
     def test_replace_revalidates(self):
@@ -76,19 +78,40 @@ class TestValidation:
         config = ExtSCCConfig.optimized()
         with pytest.raises(ReproError):
             replace(config, workers=0)
-        with pytest.raises(ReproError):
-            replace(config, executor="gpu")
 
     def test_valid_knobs_accepted(self):
-        config = ExtSCCConfig(workers=4, executor="threads",
-                              objective="wallclock", autotune=True)
+        config = ExtSCCConfig(workers=4)
         assert config.workers == 4
-        assert config.autotune
 
     def test_fingerprint_excludes_tuning_knobs(self):
         from dataclasses import replace
 
         base = ExtSCCConfig.optimized()
-        tuned = replace(base, workers=8, executor="threads",
-                        autotune=True, objective="wallclock")
-        assert base.fingerprint() == tuned.fingerprint()
+        assert base.fingerprint() == replace(base, workers=8).fingerprint()
+
+
+class TestFingerprint:
+    """Checkpoint journals store the fingerprint and refuse a resume on
+    mismatch, so its exact content is pinned: journals written before the
+    executor/autotune/objective fields were deleted (the fingerprint
+    already excluded them) must keep resuming."""
+
+    def test_default_fingerprint(self):
+        assert ExtSCCConfig().fingerprint() == {
+            "trim_type1": False, "trim_rounds": 1, "type2_reduction": False,
+            "dedupe_parallel_edges": False, "remove_self_loops": False,
+            "product_operator": False, "codec": "gap-varint",
+            "bytes_per_node": 8, "type2_table_bytes": None,
+            "semi_scc": "spanning-tree", "max_iterations": 10000,
+            "validate": False, "pool_readahead": 8, "pool_coalesce_writes": 4,
+        }
+
+    def test_optimized_fingerprint(self):
+        assert ExtSCCConfig.optimized().fingerprint() == {
+            "trim_type1": True, "trim_rounds": 1, "type2_reduction": True,
+            "dedupe_parallel_edges": True, "remove_self_loops": True,
+            "product_operator": True, "codec": "gap-varint",
+            "bytes_per_node": 8, "type2_table_bytes": None,
+            "semi_scc": "spanning-tree", "max_iterations": 10000,
+            "validate": False, "pool_readahead": 8, "pool_coalesce_writes": 4,
+        }

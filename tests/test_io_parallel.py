@@ -11,7 +11,7 @@ The load-bearing invariants, each pinned here:
 * scanning a file's shard ranges in order charges exactly what one
   whole-file scan charges;
 * :class:`~repro.io.stats.IOStats` survives concurrent recording without
-  losing a count (worker shards of a threads-backend pool all write to it);
+  losing a count (the query daemon's threads share one device);
 * the shared buffer pool's cache keys are :attr:`DiskFile.uid`-based and
   invalidated on ``rename(overwrite=True)`` — the id-reuse collision and
   the silent-clobber hole this PR closed.
@@ -25,7 +25,6 @@ from repro.exceptions import StorageError
 from repro.io.blocks import BlockDevice, DiskFile
 from repro.io.files import ExternalFile
 from repro.io.parallel import (
-    EXECUTOR_BACKENDS,
     MakespanMeter,
     StripedDevice,
     WorkerPool,
@@ -39,69 +38,41 @@ from repro.io.stats import IOStats
 
 
 class TestWorkerPool:
-    def test_backends_tuple(self):
-        assert EXECUTOR_BACKENDS == ("serial", "threads")
+    def test_run_preserves_submission_order(self):
+        pool = WorkerPool(workers=4)
+        results = pool.run([(lambda i=i: i * i) for i in range(20)])
+        assert results == [i * i for i in range(20)]
 
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_run_preserves_submission_order(self, backend):
-        pool = WorkerPool(workers=4, backend=backend)
-        try:
-            results = pool.run([(lambda i=i: i * i) for i in range(20)])
-            assert results == [i * i for i in range(20)]
-        finally:
-            pool.close()
+    def test_map(self):
+        pool = WorkerPool(workers=3)
+        assert pool.map(lambda x: x + 1, range(7)) == list(range(1, 8))
 
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_map(self, backend):
-        pool = WorkerPool(workers=3, backend=backend)
-        try:
-            assert pool.map(lambda x: x + 1, range(7)) == list(range(1, 8))
-        finally:
-            pool.close()
+    def test_run_consumes_a_lazy_stream_in_order(self):
+        """Each thunk of a lazy stream runs before the next is produced,
+        so a buffering producer (run formation) holds one shard at most."""
+        pool = WorkerPool(workers=2)
+        events = []
 
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_run_windowed_yields_in_order(self, backend):
-        pool = WorkerPool(workers=2, backend=backend)
-        try:
-            out = list(pool.run_windowed(((lambda i=i: i) for i in range(10)), window=2))
-            assert out == list(range(10))
-        finally:
-            pool.close()
+        def thunks():
+            for i in range(4):
+                events.append(("made", i))
+                yield lambda i=i: events.append(("ran", i)) or i
 
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_exceptions_propagate(self, backend):
-        pool = WorkerPool(workers=2, backend=backend)
+        assert pool.run(thunks()) == [0, 1, 2, 3]
+        assert events == [(kind, i) for i in range(4) for kind in ("made", "ran")]
+
+    def test_exceptions_propagate(self):
+        pool = WorkerPool(workers=2)
 
         def boom():
             raise RuntimeError("shard failed")
 
-        try:
-            with pytest.raises(RuntimeError, match="shard failed"):
-                pool.run([lambda: 1, boom, lambda: 3])
-        finally:
-            pool.close()
-
-    def test_nested_submission_runs_inline(self):
-        """A parallel operator inside a parallel operator must not deadlock:
-        with every pool thread busy on outer tasks, inner tasks run inline
-        on the worker thread instead of queueing forever."""
-        pool = WorkerPool(workers=2, backend="threads")
-
-        def outer(i):
-            # Submitting from inside a task would starve with only 2
-            # threads and 2 outer tasks; the inline guard makes it safe.
-            return sum(pool.map(lambda x: x * i, range(4)))
-
-        try:
-            assert pool.map(outer, range(3)) == [0, 6, 12]
-        finally:
-            pool.close()
+        with pytest.raises(RuntimeError, match="shard failed"):
+            pool.run([lambda: 1, boom, lambda: 3])
 
     def test_validates_arguments(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(workers=2, backend="fibers")
 
 
 # -- shard_ranges ------------------------------------------------------------

@@ -7,12 +7,13 @@ operators they replace.  Hypothesis drives the two paper workload families
 
 * byte-identical SCC labels at every K;
 * an identical total I/O ledger (all four counters) at every K;
-* the same invariance across the serial and threads executors;
+* a deterministic makespan: two runs of one striped config report the
+  same makespan and the same per-channel ledgers;
 * checkpoint/resume interoperability: a run crashed at one K resumes at
   another K and still reproduces the uninterrupted labels, because
   :meth:`ExtSCCConfig.fingerprint` deliberately excludes the execution
-  knobs (``workers``/``executor``) — how a plan is executed is not part
-  of what was computed.
+  knob ``workers`` — how a plan is executed is not part of what was
+  computed.
 """
 
 from dataclasses import replace
@@ -52,7 +53,7 @@ def _workload(family, num_nodes, seed):
     return list(graph.edges), graph.num_nodes
 
 
-def _run(edges, num_nodes, workers, executor="serial", striped=False):
+def _run(edges, num_nodes, workers, striped=False):
     """One Ext-SCC run; returns (output, total-I/O snapshot delta)."""
     if striped:
         device = StripedDevice(block_size=64, channels=workers)
@@ -63,10 +64,7 @@ def _run(edges, num_nodes, workers, executor="serial", striped=False):
     node_file = NodeFile.from_ids(
         device, "nodes", range(num_nodes), memory, presorted=True
     )
-    config = replace(
-        ExtSCCConfig.baseline(pool_readahead=1),
-        workers=workers, executor=executor,
-    )
+    config = ExtSCCConfig.baseline(pool_readahead=1, workers=workers)
     before = device.stats.snapshot()
     out = ExtSCC(config).run(device, edge_file, memory, nodes=node_file)
     return out, device.stats.snapshot() - before
@@ -87,15 +85,6 @@ class TestKInvariance:
 
     @SETTINGS
     @given(family_strategy, nodes_strategy, seed_strategy)
-    def test_threads_executor_matches_serial(self, family, num_nodes, seed):
-        edges, n = _workload(family, num_nodes, seed)
-        serial_out, serial_io = _run(edges, n, workers=4, executor="serial")
-        threads_out, threads_io = _run(edges, n, workers=4, executor="threads")
-        assert threads_out.result.labels == serial_out.result.labels
-        assert threads_io == serial_io
-
-    @SETTINGS
-    @given(family_strategy, nodes_strategy, seed_strategy)
     def test_striping_shrinks_makespan_never_total(self, family, num_nodes, seed):
         edges, n = _workload(family, num_nodes, seed)
         base_out, base_io = _run(edges, n, workers=1, striped=True)
@@ -105,6 +94,16 @@ class TestKInvariance:
             assert io == base_io, workers
             assert out.makespan <= base_out.makespan, workers
             assert sum(out.channel_io) == io.total, workers
+        # The makespan is modelled from the striping geometry, so a
+        # repeat of one K=4 config reproduces it.  Block i of a file sits
+        # on channel (uid + i) % K and file uids are process-wide, so in
+        # one process the repeat sees the same per-channel ledgers under
+        # a rotation of the channel numbers.
+        first, _ = _run(edges, n, workers=4, striped=True)
+        again, _ = _run(edges, n, workers=4, striped=True)
+        assert again.makespan == first.makespan
+        rotations = [first.channel_io[k:] + first.channel_io[:k] for k in range(4)]
+        assert again.channel_io in rotations
 
 
 class TestResumeAcrossK:
@@ -154,7 +153,7 @@ class TestResumeAcrossK:
 
     def test_fingerprint_excludes_execution_knobs(self):
         base = ExtSCCConfig.baseline()
-        reconfigured = replace(base, workers=8, executor="threads")
+        reconfigured = replace(base, workers=8)
         assert reconfigured.fingerprint() == base.fingerprint()
         # ...but real plan changes still invalidate it.
         assert replace(base, codec="fixed").fingerprint() != base.fingerprint()
