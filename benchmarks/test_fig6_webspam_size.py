@@ -212,32 +212,3 @@ def test_fig6_codec_delta(benchmark):
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "fig6_webspam_size.codec_delta.txt").write_text(text)
 
-
-def test_fig6_replacement_selection_lowers_merge_passes(benchmark, monkeypatch):
-    """On the largest workload, replacement-selection run formation performs
-    strictly fewer merge passes than classic fill-sort-write formation —
-    the run-length doubling (#runs ~ m/2M) translating into saved passes."""
-    import repro.io.sort as sort_mod
-
-    graph = webspam_graph()
-    edges = subsample_edges(shuffled_edges(graph), 100)
-    n = graph.num_nodes
-    memory = memory_for_ratio(n, MEMORY_RATIO)
-
-    def passes_with(strategy):
-        monkeypatch.setattr(sort_mod, "DEFAULT_RUN_FORMATION", strategy)
-        run = run_algorithm("Ext-SCC", edges, n, memory, block_size=BLOCK_SIZE,
-                            x=100)
-        assert run.ok
-        return run
-
-    classic = benchmark.pedantic(
-        lambda: passes_with("classic"), rounds=1, iterations=1
-    )
-    rs = passes_with("replacement-selection")
-    assert rs.num_sccs == classic.num_sccs
-    assert rs.merge_passes < classic.merge_passes, (
-        rs.merge_passes, classic.merge_passes
-    )
-    assert rs.runs_formed < classic.runs_formed
-    assert rs.io_total <= classic.io_total

@@ -1,16 +1,14 @@
 """Wall-clock invariance: the Fig. 6 smoke point under every execution
 configuration.
 
-Every execution knob left — the worker count K and the ``REPRO_NUMPY``
-reachability kernel — is a *pure* wall-clock knob: at every codec × K
-combination, with numpy on and off, the smoke run's simulated ledger and
-its answer are exactly the K=1 run's with numpy off.  That identity is gated
+The one execution knob left — the worker count K — is a *pure*
+wall-clock knob: at every codec × K combination the smoke run's simulated
+ledger and its answer are exactly the K=1 run's.  That identity is gated
 exactly.  Wall time itself is measured by ``benchmarks/perf``;
 ``BENCH_wallclock.json`` is the frozen history of the earlier
 scalar-vs-batch comparison.
 """
 
-from repro import kernels
 from repro.bench import (
     BLOCK_SIZE,
     memory_for_ratio,
@@ -53,33 +51,27 @@ def _fingerprint(run):
     }
 
 
-def _run_smoke(edges, n, memory, *, codec, workers=1, numpy=False):
-    previous = kernels.set_enabled(numpy)
-    try:
-        return run_algorithm("Ext-SCC-Op", edges, n, memory,
-                             block_size=BLOCK_SIZE, x=SMOKE_PCT,
-                             config=ExtSCCConfig.optimized(codec=codec),
-                             workers=workers)
-    finally:
-        kernels.set_enabled(previous)
+def _run_smoke(edges, n, memory, *, codec, workers=1):
+    return run_algorithm("Ext-SCC-Op", edges, n, memory,
+                         block_size=BLOCK_SIZE, x=SMOKE_PCT,
+                         config=ExtSCCConfig.optimized(codec=codec),
+                         workers=workers)
 
 
 def test_wallclock_invariance_matrix(benchmark):
-    """Exact ledger identity at every codec × K, numpy on and off, against
-    the K=1 run with numpy off."""
+    """Exact ledger identity at every codec × K against the K=1 run."""
     edges, n, memory = _smoke_point()
 
     def run_matrix():
         mismatches = []
         for codec in MATRIX_CODECS:
             reference = _fingerprint(_run_smoke(edges, n, memory, codec=codec))
-            for numpy in (False, True):
-                for workers in MATRIX_WORKERS:
-                    run = _run_smoke(edges, n, memory, codec=codec,
-                                     workers=workers, numpy=numpy)
-                    if _fingerprint(run) != reference:
-                        mismatches.append((codec, numpy, workers,
-                                           _fingerprint(run), reference))
+            for workers in MATRIX_WORKERS:
+                run = _run_smoke(edges, n, memory, codec=codec,
+                                 workers=workers)
+                if _fingerprint(run) != reference:
+                    mismatches.append((codec, workers, _fingerprint(run),
+                                       reference))
         return mismatches
 
     mismatches = benchmark.pedantic(run_matrix, rounds=1, iterations=1)

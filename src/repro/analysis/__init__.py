@@ -1,13 +1,10 @@
 """Analysis layer: the analytic I/O cost model (Theorems 5.1/5.2/6.1),
-the Ext-SCC planner, graph statistics (degrees, arboricity bound,
-bow-tie), and time-forward processing over external DAGs."""
+the Ext-SCC planner, and graph statistics (degrees, arboricity bound)."""
 
 from repro.analysis.cost_model import CostModel
 from repro.analysis.graph_stats import (
-    BowTie,
     DegreeStats,
     arboricity_upper_bound,
-    bowtie_decomposition,
     degree_stats,
 )
 from repro.analysis.planner import (
@@ -15,7 +12,6 @@ from repro.analysis.planner import (
     PlannedIteration,
     plan_ext_scc,
 )
-from repro.analysis.time_forward import dag_levels
 
 __all__ = [
     "ExtSCCPlan",
@@ -25,7 +21,4 @@ __all__ = [
     "DegreeStats",
     "degree_stats",
     "arboricity_upper_bound",
-    "BowTie",
-    "bowtie_decomposition",
-    "dag_levels",
 ]

@@ -190,50 +190,6 @@ class CostModel:
         label write-back."""
         return passes * self.scan(num_edges, EDGE_RECORD_BYTES, workers)
 
-    # -- multi-bfs mask-column memory trade ------------------------------------
-
-    def multi_bfs_sources(self, num_nodes: int, requested: int = 64) -> int:
-        """Sources per ``multi-bfs`` round under *this* memory budget.
-
-        Delegates to :func:`repro.semi_external.multi_bfs.source_budget`
-        (the single source of truth the solver itself uses): the base
-        footprint is ``8n + B``, and each batch of 8 sources costs one
-        mask byte per node per direction, so a tight budget caps ``S``
-        below the requested batch width.
-        """
-        from repro.io.memory import MemoryBudget
-        from repro.semi_external.multi_bfs import source_budget
-
-        return source_budget(
-            num_nodes, MemoryBudget(self.memory_bytes), self.block_size,
-            requested,
-        )
-
-    def multi_bfs_mask_bytes(self, num_nodes: int, sources: int) -> int:
-        """Resident mask bytes for ``sources`` batched sources: one bit
-        per source per node per direction, allocated in byte columns."""
-        return 2 * num_nodes * math.ceil(sources / 8)
-
-    def multi_bfs_round_factor(self, num_nodes: int,
-                               requested: int = 64) -> int:
-        """Edge-scan multiplier when memory shrinks the source batch.
-
-        ``multi-bfs`` resolves ``S`` pivots per round; a budget that only
-        fits ``S < requested`` sources needs ``ceil(requested / S)`` times
-        as many rounds — and each round scans the edge file — to cover the
-        same pivot work.  Ample memory returns 1 (calibrated pass counts
-        already price the full-width behaviour).
-        """
-        sources = self.multi_bfs_sources(num_nodes, requested)
-        return max(1, math.ceil(requested / sources))
-
-    def semi_scc_multi_bfs(self, num_edges: int, num_nodes: int,
-                           passes: int, workers: int = 1) -> int:
-        """Semi-SCC priced for the ``multi-bfs`` solver: the calibrated
-        pass count scaled by the memory-dependent round factor."""
-        factor = self.multi_bfs_round_factor(num_nodes)
-        return self.semi_scc(num_edges, passes * factor, workers)
-
     # -- parallel / makespan ---------------------------------------------------
 
     def parallel(self, blocks: int, workers: int) -> int:
@@ -262,8 +218,6 @@ class CostModel:
         workers: int,
         semi_passes: int = 3,
         product_operator: bool = False,
-        solver: Optional[str] = None,
-        final_nodes: int = 0,
     ) -> int:
         """Predicted critical-path blocks for a striped Ext-SCC run.
 
@@ -275,11 +229,6 @@ class CostModel:
         the grand total by ``K`` — is what keeps the prediction honest at
         high ``K``, where dozens of short operators each leave a partly
         idle stripe and the per-operator remainders dominate.
-
-        With ``solver="multi-bfs"`` (and the contracted node count in
-        ``final_nodes``) the semi-external phase is priced through
-        :meth:`semi_scc_multi_bfs`, so a budget too tight for the full
-        source batch surfaces as extra edge scans in the prediction.
         """
         records = list(iterations)
         makespan = 0
@@ -289,12 +238,7 @@ class CostModel:
                 record, product_operator, workers
             )
             final_edges = record.next_num_edges
-        if solver == "multi-bfs":
-            makespan += self.semi_scc_multi_bfs(
-                final_edges, final_nodes, semi_passes, workers
-            )
-        else:
-            makespan += self.semi_scc(final_edges, semi_passes, workers)
+        makespan += self.semi_scc(final_edges, semi_passes, workers)
         for record in records:
             makespan += self.expansion_iteration(record, workers)
         return makespan

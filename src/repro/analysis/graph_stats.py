@@ -1,14 +1,10 @@
-"""Graph statistics: degrees, arboricity bounds, bow-tie decomposition.
+"""Graph statistics: degrees and arboricity bounds.
 
 The contraction analysis of Section V runs on two quantities — node
 degrees (the ``>`` operator, Theorem 5.3) and the graph's arboricity
 (Theorem 5.4's edge-growth bound).  This module measures both, externally
 for degree statistics (sorts + one co-scan over the edge file) and via the
 Chiba–Nishizeki bound ``α ≤ min(⌈√|E|⌉, deg_max)`` for arboricity.
-
-It also provides the bow-tie decomposition of a digraph given its SCC
-labeling — the standard structure of web graphs, used by the examples and
-by the webspam generator's tests.
 """
 
 from __future__ import annotations
@@ -16,17 +12,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict
 
-from repro.graph.digraph import DiGraph
 from repro.graph.edge_file import EdgeFile
 from repro.io.join import cogroup
 from repro.io.memory import MemoryBudget
-from repro.memory_scc.condensation import condensation
-from repro.memory_scc.dfs import reachable_from
 
-__all__ = ["DegreeStats", "degree_stats", "arboricity_upper_bound",
-           "BowTie", "bowtie_decomposition"]
+__all__ = ["DegreeStats", "degree_stats", "arboricity_upper_bound"]
 
 
 @dataclass(frozen=True)
@@ -88,42 +80,3 @@ def arboricity_upper_bound(stats: DegreeStats) -> int:
         return 0
     return min(math.ceil(math.sqrt(stats.num_edges)), stats.max_total_degree)
 
-
-@dataclass(frozen=True)
-class BowTie:
-    """Bow-tie decomposition of a digraph around its largest SCC."""
-
-    core_label: int
-    core: int
-    in_size: int
-    out_size: int
-    tendrils: int
-
-    @property
-    def total(self) -> int:
-        """All nodes accounted for."""
-        return self.core + self.in_size + self.out_size + self.tendrils
-
-
-def bowtie_decomposition(graph: DiGraph, labels: Mapping[int, int]) -> BowTie:
-    """Decompose ``graph`` into CORE / IN / OUT / TENDRILS.
-
-    Args:
-        graph: the original digraph.
-        labels: an SCC labeling (e.g. ``output.result.labels``).
-    """
-    sizes = Counter(labels.values())
-    core_label, core_size = sizes.most_common(1)[0]
-    dag = condensation(graph, labels)
-    downstream = reachable_from(dag, core_label) - {core_label}
-    upstream = reachable_from(dag.reversed(), core_label) - {core_label}
-    out_size = sum(sizes[label] for label in downstream)
-    in_size = sum(sizes[label] for label in upstream)
-    total = sum(sizes.values())
-    return BowTie(
-        core_label=core_label,
-        core=core_size,
-        in_size=in_size,
-        out_size=out_size,
-        tendrils=total - core_size - in_size - out_size,
-    )

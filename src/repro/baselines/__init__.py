@@ -5,14 +5,11 @@ DFS of [8] with its buffered repository tree."""
 from repro.baselines.brt import BufferedRepositoryTree
 from repro.baselines.dfs_scc import DFSSCCOutput, dfs_scc
 from repro.baselines.em_scc import EMSCCOutput, em_scc
-from repro.baselines.external_bfs import external_bfs_levels, external_reachable
 from repro.baselines.node_table import NodeTable
 
 __all__ = [
     "BufferedRepositoryTree",
     "NodeTable",
-    "external_bfs_levels",
-    "external_reachable",
     "dfs_scc",
     "DFSSCCOutput",
     "em_scc",

@@ -206,25 +206,12 @@ def _external_dfs(
     return messages
 
 
-def _make_message_store(kind: str, device: BlockDevice, key_space: int,
-                        buffer_blocks: int, name: str):
-    """Factory for the deleted-edge message store: ``"brt"`` or ``"lsm"``."""
-    if kind == "brt":
-        return BufferedRepositoryTree(device, key_space, buffer_blocks, name=name)
-    if kind == "lsm":
-        from repro.baselines.lsm_store import LSMMessageStore
-
-        return LSMMessageStore(device, key_space, name=name)
-    raise ValueError(f"unknown message store {kind!r}; choose 'brt' or 'lsm'")
-
-
 def dfs_scc(
     device: BlockDevice,
     edges: EdgeFile,
     nodes: NodeFile,
     memory: MemoryBudget,
     brt_buffer_blocks: int = 4,
-    message_store: str = "brt",
 ) -> DFSSCCOutput:
     """Compute all SCCs with external Kosaraju (Algorithm 1 / [8]).
 
@@ -236,8 +223,6 @@ def dfs_scc(
         nodes: the node file (sorted unique ids).
         memory: the budget ``M``.
         brt_buffer_blocks: BRT flush threshold.
-        message_store: ``"brt"`` (the [8] structure, default) or ``"lsm"``
-            (a log-structured alternative in the [17] role).
 
     Returns:
         A :class:`DFSSCCOutput` with the labeling and I/O counts.
@@ -253,8 +238,8 @@ def dfs_scc(
 
     # Pass 1: postorder of G.
     postorder = ExternalFile.create(device, "dfs.postorder", NODE_RECORD_BYTES)
-    brt1 = _make_message_store(message_store, device, max_id + 1,
-                               brt_buffer_blocks, name="store1")
+    brt1 = BufferedRepositoryTree(device, max_id + 1, brt_buffer_blocks,
+                                  name="store1")
     messages = _external_dfs(
         forward,
         backward,
@@ -270,8 +255,8 @@ def dfs_scc(
     # SCC.  The roles of the two adjacency stores swap, and the transpose
     # table carries the fresh visited flags.
     labels = ExternalFile.create(device, "dfs.labels", SCC_RECORD_BYTES)
-    brt2 = _make_message_store(message_store, device, max_id + 1,
-                               brt_buffer_blocks, name="store2")
+    brt2 = BufferedRepositoryTree(device, max_id + 1, brt_buffer_blocks,
+                                  name="store2")
     current_root: List[int] = [0]
 
     def on_visit(node: int) -> None:

@@ -9,7 +9,7 @@ The paper's sweeps are re-expressed in scale-free terms so they survive the
 * graph size (Figure 6) is swept as a percentage of the edge file;
 * everything else (degree, SCC size/count sweeps) carries over directly.
 
-``REPRO_BENCH_NODES`` scales every workload up or down (default 10 000
+``REPRO_BENCH_NODES`` scales every workload up or down (default 4000
 nodes; the paper's default |V| is 100M).
 """
 

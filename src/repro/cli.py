@@ -39,7 +39,6 @@ from repro.graph.datasets import build_dataset
 from repro.graph.io_formats import read_edge_binary, read_edge_text, write_edge_binary, write_edge_text
 from repro.recovery.policy import FaultPolicy
 from repro.semi_external import SEMI_SCC_SOLVERS
-from repro import kernels
 
 __all__ = ["main", "parse_size"]
 
@@ -264,9 +263,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         config = replace(config, workers=args.workers)
     if args.solver is not None:
         config = replace(config, semi_scc=args.solver)
-    if args.verbose and kernels.requested() and not kernels.available():
-        print(f"note: {kernels.fallback_reason()}; running the "
-              "byte-identical pure-Python kernels", file=sys.stderr)
     if args.parity and args.checkpoint_dir:
         print(
             "error: --parity needs the in-memory striped device; the "
@@ -371,11 +367,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
                 for width, (count, stored) in sorted(out.bytes_by_width.items())
             },
             "health": out.health,
-            "kernels": {
-                "numpy_requested": kernels.requested(),
-                "numpy_active": kernels.available(),
-                "fallback_reason": kernels.fallback_reason(),
-            },
         }
         with open(args.trace_json, "w", encoding="ascii") as f:
             f.write(out.trace.to_json(plans=out.plans, context=context))

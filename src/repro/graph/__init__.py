@@ -25,14 +25,6 @@ from repro.graph.datasets import (
     build_dataset,
     figure1_graph,
 )
-from repro.graph.transforms import (
-    induced_subgraph,
-    merge_edge_files,
-    relabel,
-    remove_self_loops,
-    subsample,
-    symmetrize,
-)
 from repro.graph.io_formats import (
     dump_edge_file,
     load_edge_file,
@@ -64,12 +56,6 @@ __all__ = [
     "Table1Row",
     "build_dataset",
     "DATASET_FAMILIES",
-    "subsample",
-    "relabel",
-    "induced_subgraph",
-    "merge_edge_files",
-    "symmetrize",
-    "remove_self_loops",
     "write_edge_text",
     "read_edge_text",
     "write_edge_binary",

@@ -22,7 +22,6 @@ from repro.io.persistent import (
     open_shared,
 )
 from repro.io.pool import SharedBufferPool
-from repro.io.priority_queue import ExternalPriorityQueue
 from repro.io.varfile import VarRecordFile, varint_size
 from repro.io.join import anti_join, cogroup, grouped, lookup_join, merge_join, semi_join
 from repro.io.memory import MemoryBudget
@@ -45,7 +44,6 @@ __all__ = [
     "WorkerPool",
     "MakespanMeter",
     "shard_ranges",
-    "ExternalPriorityQueue",
     "VarRecordFile",
     "varint_size",
     "MemoryBudget",

@@ -1,25 +1,21 @@
 """Sorted-run formation for the external merge sort.
 
 A *run* is a sorted :class:`~repro.io.files.ExternalFile` produced during run
-formation.  Two run-formation strategies live here:
+formation.  :func:`form_runs_replacement_selection` forms them with
+heap-based replacement selection (Knuth TAOCP vol. 3, §5.4.1): records are
+pushed through a min-heap of capacity ``M / record_size``; a record whose
+key is not less than the last one written continues the *current* run,
+otherwise it is earmarked for the next run.  On random input the expected
+run length is ``2M``, so ``#runs ≈ m / 2M`` instead of the ``ceil(m / M)``
+of the classic load-sort-write pass, and therefore fewer merge passes
+``ceil(log_F(#runs))``; on already-sorted input a single run emerges
+regardless of ``m``.
 
-* :func:`form_runs` — the classic load-sort-write pass: fill memory, sort,
-  write, repeat.  Runs are exactly ``M / record_size`` records long, so an
-  input of ``m`` records yields ``ceil(m / M)`` runs.
-* :func:`form_runs_replacement_selection` — heap-based replacement
-  selection (Knuth TAOCP vol. 3, §5.4.1): records are pushed through a
-  min-heap of capacity ``M / record_size``; a record whose key is not less
-  than the last one written continues the *current* run, otherwise it is
-  earmarked for the next run.  On random input the expected run length is
-  ``2M``, halving the run count (``#runs ≈ m / 2M``) and therefore the
-  number of merge passes ``ceil(log_F(#runs))``; on already-sorted input a
-  single run emerges regardless of ``m``.
-
-Both strategies are *stable*: records with equal keys leave run formation
-in arrival order (the heap breaks ties on an arrival sequence number, and a
-later arrival is never assigned an earlier run), so the downstream k-way
-merge — which breaks ties by run order — reproduces exactly the order the
-classic strategy produces.
+Run formation is *stable*: records with equal keys leave it in arrival
+order (the heap breaks ties on an arrival sequence number, and a later
+arrival is never assigned an earlier run), so the downstream k-way merge —
+which breaks ties by run order — reproduces exactly the order the classic
+load-sort-write pass produces.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ __all__ = [
     "KEY_DST_AUX_SRC",
     "KEY_DST_SRC",
     "KEY_SRC_DST",
-    "form_runs",
     "form_runs_replacement_selection",
     "run_iterator",
 ]
@@ -98,70 +93,6 @@ def _create_run(
     return CompressedRecordFile(device, name, record_size, codec)
 
 
-def form_runs(
-    device: BlockDevice,
-    records: Iterable[Record],
-    record_size: int,
-    memory: MemoryBudget,
-    key: Optional[KeyFn] = None,
-    prefix: str = "run",
-    codec: Optional[Codec] = None,
-) -> List[RecordStore]:
-    """Split ``records`` into memory-sized sorted runs written to disk.
-
-    Each run holds at most ``memory.record_capacity(record_size)`` records,
-    sorted in memory and written with sequential writes — the classic run
-    formation pass of external merge sort.
-
-    With a :class:`~repro.io.parallel.WorkerPool` attached to the device,
-    each run is written as one supervised task, dispatched as soon as its
-    buffer fills.  Run *contents* are untouched — the buffers are cut at
-    the same record boundaries and sorted by the same key — so the run
-    files, and therefore the whole sort's ledger, are identical to the
-    unsupervised pass.
-
-    Returns:
-        The list of run files (possibly empty for empty input).
-    """
-    capacity = max(1, memory.record_capacity(record_size))
-
-    def buffers() -> Iterator[List[Record]]:
-        buffer: List[Record] = []
-        for record in records:
-            buffer.append(record)
-            if len(buffer) >= capacity:
-                yield buffer
-                buffer = []
-        if buffer:
-            yield buffer
-
-    pool = device.worker_pool
-    if pool is not None and pool.workers > 1:
-        thunks = (
-            (lambda buf=buf: _write_run(device, buf, record_size, key, prefix, codec))
-            for buf in buffers()
-        )
-        return pool.run(thunks)
-    return [
-        _write_run(device, buf, record_size, key, prefix, codec) for buf in buffers()
-    ]
-
-
-def _write_run(
-    device: BlockDevice,
-    buffer: List[Record],
-    record_size: int,
-    key: Optional[KeyFn],
-    prefix: str,
-    codec: Optional[Codec] = None,
-) -> RecordStore:
-    buffer.sort(key=key)
-    out = _create_run(device, record_size, codec, prefix)
-    out.extend(buffer)
-    out.close()
-    return out
-
-
 def form_runs_replacement_selection(
     device: BlockDevice,
     records: Iterable[Record],
@@ -174,13 +105,14 @@ def form_runs_replacement_selection(
     """Form sorted runs with replacement selection.
 
     The heap holds at most ``memory.record_capacity(record_size)`` records
-    — the same footprint as the classic strategy's buffer — but the runs it
-    emits average twice that length on random input (``#runs ≈ m / 2M``).
+    — the same footprint as a classic load-sort-write buffer — but the
+    runs it emits average twice that length on random input
+    (``#runs ≈ m / 2M``).
 
     Heap entries are ``(run_number, key, seq, record)``: ``run_number``
     keeps next-run records from escaping early, and ``seq`` (the arrival
     index) makes equal keys pop in arrival order, preserving the stability
-    contract of :func:`form_runs`.
+    contract of the classic load-sort-write pass.
 
     Returns:
         The list of run files, in run order (possibly empty).

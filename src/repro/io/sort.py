@@ -9,7 +9,7 @@ buffer.  All accesses are sequential, matching
 
 Two constant-factor levers on top of the textbook algorithm:
 
-* Run formation uses **replacement selection** by default
+* Run formation uses **replacement selection**
   (:func:`repro.io.runs.form_runs_replacement_selection`), so an input of
   ``m`` records forms ``≈ m / 2M`` runs instead of ``m / M`` — fewer runs
   means fewer merge passes and more sorts that finish as a single run.
@@ -53,7 +53,6 @@ from repro.io.runs import (
     KEY_DST_AUX_SRC,
     KEY_DST_SRC,
     KEY_SRC_DST,
-    form_runs,
     form_runs_replacement_selection,
 )
 from repro.kernels import merge_two_keyed, merge_two_unkeyed
@@ -71,13 +70,6 @@ __all__ = [
 
 Record = Tuple[int, ...]
 KeyFn = Callable[[Record], object]
-
-RUN_FORMATIONS = {
-    "replacement-selection": form_runs_replacement_selection,
-    "classic": form_runs,
-}
-
-DEFAULT_RUN_FORMATION = "replacement-selection"
 
 
 def external_sort(
@@ -133,7 +125,6 @@ def _form_and_reduce_runs(
     record_size: int,
     memory: MemoryBudget,
     key: Optional[KeyFn],
-    run_formation: Optional[str],
     codec: Union[None, str, Codec] = None,
     sort_field: Optional[int] = None,
 ) -> Tuple[List[RecordStore], Codec]:
@@ -149,8 +140,9 @@ def _form_and_reduce_runs(
     if sort_field is None and key is None:
         sort_field = 0
     resolved = resolve_codec(codec, record_size, sort_field, device=device)
-    form = RUN_FORMATIONS[run_formation or DEFAULT_RUN_FORMATION]
-    runs = form(device, records, record_size, memory, key=key, codec=resolved)
+    runs = form_runs_replacement_selection(
+        device, records, record_size, memory, key=key, codec=resolved
+    )
     device.stats.record_runs_formed(len(runs))
     fan_in = max(2, memory.block_capacity(device.block_size) - 1)
     while len(runs) > fan_in:
@@ -165,7 +157,6 @@ def external_sort_stream(
     memory: MemoryBudget,
     key: Optional[KeyFn] = None,
     unique: bool = False,
-    run_formation: Optional[str] = None,
     codec: Union[None, str, Codec] = None,
     sort_field: Optional[int] = None,
 ) -> Iterator[Record]:
@@ -181,7 +172,7 @@ def external_sort_stream(
     abandoning the iterator early does not leak simulated disk space.
     """
     runs, _ = _form_and_reduce_runs(
-        device, records, record_size, memory, key, run_formation, codec, sort_field
+        device, records, record_size, memory, key, codec, sort_field
     )
     if not runs:
         return
@@ -206,13 +197,12 @@ def external_sort_records(
     key: Optional[KeyFn] = None,
     unique: bool = False,
     out_name: Optional[str] = None,
-    run_formation: Optional[str] = None,
     codec: Union[None, str, Codec] = None,
     sort_field: Optional[int] = None,
 ) -> RecordStore:
     """Sort a record stream into a new file (see :func:`external_sort`)."""
     runs, resolved = _form_and_reduce_runs(
-        device, records, record_size, memory, key, run_formation, codec, sort_field
+        device, records, record_size, memory, key, codec, sort_field
     )
     out_name = out_name if out_name is not None else device.temp_name("sorted")
     if not runs:

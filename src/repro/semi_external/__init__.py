@@ -1,16 +1,14 @@
 """Semi-external SCC solvers: all node state in memory (``c*|V| <= M``),
 edges streamed from disk with sequential scans only.
 
-Three solvers are registered in :data:`SEMI_SCC_SOLVERS`:
+Two solvers are registered in :data:`SEMI_SCC_SOLVERS`:
 
 * ``spanning-tree`` — the mechanism of the paper's Semi-SCC substrate
   (1PB-SCC [26]) and the default;
 * ``forward-backward`` — the simplest independent implementation, kept
-  as the oracle that cross-checks it;
-* ``multi-bfs`` — batched multi-source reachability (Wang et al.), kept
-  until a paired wall-time measurement decides it.
+  as the oracle that cross-checks it.
 
-All three return identical canonical labels (min member per SCC).
+Both return identical canonical labels (min member per SCC).
 """
 
 from typing import Callable, Dict, Iterable, Optional
@@ -22,7 +20,6 @@ from repro.io.codecs import RecordStore, record_file_from_records
 from repro.io.memory import MemoryBudget
 from repro.plan import ExtPlan, Materialize, Rewrite, Scan
 from repro.semi_external.forward_backward import forward_backward_scc
-from repro.semi_external.multi_bfs import multi_bfs_scc
 from repro.semi_external.semi_kosaraju import semi_kosaraju_scc
 from repro.semi_external.spanning_tree import SpanningTreeStats, spanning_tree_scc
 from repro.semi_external.union_find import UnionFind
@@ -30,7 +27,6 @@ from repro.semi_external.union_find import UnionFind
 __all__ = [
     "spanning_tree_scc",
     "forward_backward_scc",
-    "multi_bfs_scc",
     "semi_kosaraju_scc",
     "SpanningTreeStats",
     "UnionFind",
@@ -52,7 +48,6 @@ SemiSCCSolver = Callable[..., Dict[int, int]]
 SEMI_SCC_SOLVERS: Dict[str, SemiSCCSolver] = {
     "spanning-tree": spanning_tree_scc,
     "forward-backward": forward_backward_scc,
-    "multi-bfs": multi_bfs_scc,
 }
 """Scan-only semi-external solvers by name; ``"spanning-tree"`` is the
 default Semi-SCC used by Ext-SCC (mirrors the paper's choice of 1PB-SCC).

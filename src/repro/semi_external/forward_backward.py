@@ -13,27 +13,65 @@ memory, edges stay on disk.  It serves as an independent second
 implementation of the paper's ``Semi-SCC`` role, used to cross-check the
 spanning-tree solver.
 
-Relaxation is **block-granular**
-(:meth:`~repro.kernels.ReachabilityKernel.relax_to_fixpoint`): marks stage
-against the block-start bits and apply at each block boundary, so marks
-from earlier blocks propagate within the same scan but the outcome never
-depends on edge order inside a block.  The fixpoint — and therefore every
-label — is identical to any other relaxation schedule; the granularity is
-what lets the numpy and scalar kernels agree mark-for-mark, scan-for-scan.
+Relaxation is **block-granular** (:func:`_relax_to_fixpoint`): marks
+stage against the block-start bits and apply at each block boundary, so
+marks from earlier blocks propagate within the same scan but the outcome
+never depends on edge order inside a block.  The fixpoint — and therefore
+every label — is identical to any other relaxation schedule.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
 from repro.graph.edge_file import EdgeFile
 from repro.io.memory import MemoryBudget
-from repro.kernels import reachability_kernel
 
 __all__ = ["forward_backward_scc"]
 
 _RESOLVED = -1
+
+Block = Sequence[Tuple[int, int]]
+
+
+def _relax_to_fixpoint(
+    scan_blocks: Callable[[], Iterable[Block]],
+    index: Dict[int, int],
+    part: List[int],
+    active: Set[int],
+    fwd: bytearray,
+    bwd: bytearray,
+) -> None:
+    """Relax both reachability frontiers until one full sequential scan
+    (``scan_blocks()`` opens a fresh charged scan per round) sets no new
+    bit.  Marks stage against the block-start bits and apply at each
+    block boundary: sources read the arrays (unmodified during the
+    block), targets collect in the staging dicts."""
+    changed = True
+    while changed:
+        changed = False
+        for block in scan_blocks():
+            staged_f: Dict[int, int] = {}
+            staged_b: Dict[int, int] = {}
+            for u, v in block:
+                iu = index[u]
+                iv = index[v]
+                pu = part[iu]
+                if pu == _RESOLVED or pu != part[iv] or pu not in active:
+                    continue
+                if fwd[iu] and not fwd[iv]:
+                    staged_f[iv] = 1
+                if bwd[iv] and not bwd[iu]:
+                    staged_b[iu] = 1
+            for i in staged_f:
+                if not fwd[i]:
+                    fwd[i] = 1
+                    changed = True
+            for i in staged_b:
+                if not bwd[i]:
+                    bwd[i] = 1
+                    changed = True
 
 
 def forward_backward_scc(
@@ -60,7 +98,7 @@ def forward_backward_scc(
             SEMI_EXTERNAL_BYTES_PER_NODE * n + edge_file.device.block_size,
             what="semi-external FW-BW SCC",
         )
-    kernel = reachability_kernel(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
 
     part: List[int] = [0] * n  # partition id, _RESOLVED once labeled
     label: List[int] = [0] * n  # SCC label (valid once resolved)
@@ -88,9 +126,7 @@ def forward_backward_scc(
             fwd[pivot] = 1
             bwd[pivot] = 1
         # Relax both reachability frontiers until a scan changes nothing.
-        kernel.relax_to_fixpoint(
-            edge_file.scan_blocks, part, active, fwd, bwd
-        )
+        _relax_to_fixpoint(edge_file.scan_blocks, index, part, active, fwd, bwd)
         # Split: FW∩BW is the pivot's SCC; the other three parts recurse.
         splits: Dict[tuple, int] = {}
         new_active = set()

@@ -5,7 +5,7 @@ Kosaraju–Sharir (Algorithm 1) with node state in memory and the edges on
 disk.  With O(|V|) memory the visited flags, the DFS stack and the
 postorder fit in RAM, but each node expansion must fetch its adjacency
 list from disk — a *random* block read per node, unlike the scan-only
-spanning-tree/FW-BW/multi-BFS solvers.
+spanning-tree and FW-BW solvers.
 
 The paper's [26] (whose mechanism `spanning_tree_scc` reproduces) was
 motivated precisely by this: the DFS route cannot contract partial SCCs

@@ -1,8 +1,8 @@
 """Batched point-lookup execution: N lookups in O(sorted scan) reads.
 
-Wang et al.'s batched multi-source reachability (the ``multi-bfs``
-solver) amortizes many traversals into shared sequential scans; this
-module applies the same idea to the service's point lookups.  Lookups
+Wang et al.'s batched multi-source reachability amortizes many
+traversals into shared sequential scans; this module applies the same
+idea to the service's point lookups.  Lookups
 arriving within one epoch are buffered (:class:`BatchCollector`),
 deduplicated against the LRU :class:`~repro.io.cache.LabelCache`, sorted
 by block through the node table's in-memory fence keys, and answered

@@ -58,6 +58,11 @@ _ERROR_KINDS = (
 )
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``true`` decodes to 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _error_kind(exc: Exception) -> str:
     for cls, kind in _ERROR_KINDS:
         if isinstance(exc, cls):
@@ -72,26 +77,35 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         daemon: "QueryDaemon" = self.server.daemon  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise ServiceProtocolError("request must be a JSON object")
-                response = daemon.handle_request(request)
-            except Exception as exc:  # per-request isolation
-                response = {
-                    "ok": False,
-                    "error": _error_kind(exc),
-                    "message": str(exc),
-                }
-            self.wfile.write((json.dumps(response) + "\n").encode("ascii"))
-            self.wfile.flush()
-            if response.get("op") == "shutdown":
-                daemon.request_shutdown()
-                return
+        try:
+            for raw in self.rfile:
+                line = raw.strip()
+                if not line:
+                    continue
+                response = _answer(daemon, line)
+                self.wfile.write((json.dumps(response) + "\n").encode("ascii"))
+                self.wfile.flush()
+                if response.get("op") == "shutdown":
+                    daemon.request_shutdown()
+                    return
+        except ConnectionError:
+            # The client reset or half-closed mid-response: that ends the
+            # connection, not the daemon.
+            return
+
+
+def _answer(daemon: "QueryDaemon", line: bytes) -> dict:
+    """One response for one request line; never raises."""
+    try:
+        try:
+            request = json.loads(line)
+        except ValueError as exc:  # bad JSON or not UTF-8
+            raise ServiceProtocolError(f"malformed request: {exc}") from exc
+        if not isinstance(request, dict):
+            raise ServiceProtocolError("request must be a JSON object")
+        return daemon.handle_request(request)
+    except Exception as exc:  # per-request isolation
+        return {"ok": False, "error": _error_kind(exc), "message": str(exc)}
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -180,11 +194,16 @@ class QueryDaemon:
     @staticmethod
     def _nodes(request: dict) -> list:
         nodes = request.get("nodes")
-        if not isinstance(nodes, list) or not all(
-            isinstance(n, int) for n in nodes
-        ):
+        if not isinstance(nodes, list) or not all(map(_is_int, nodes)):
             raise ServiceProtocolError('"nodes" must be a list of integers')
         return nodes
+
+    @staticmethod
+    def _node_id(request: dict, key: str) -> int:
+        node = request.get(key)
+        if not _is_int(node):
+            raise ServiceProtocolError(f'"{key}" must be an integer node id')
+        return node
 
     def _session(self, request: dict):
         session_id = request.get("session")
@@ -198,9 +217,7 @@ class QueryDaemon:
     def _op_open_session(self, request: dict) -> dict:
         tenant = request.get("tenant", "default")
         io_budget = request.get("io_budget")
-        if io_budget is not None and (
-            not isinstance(io_budget, int) or io_budget < 0
-        ):
+        if io_budget is not None and (not _is_int(io_budget) or io_budget < 0):
             raise ServiceProtocolError('"io_budget" must be a non-negative int')
         session = self.sessions.create(str(tenant), io_budget)
         return {"ok": True, "session": session.id}
@@ -221,14 +238,14 @@ class QueryDaemon:
     def _op_same_component(self, request: dict) -> dict:
         session = self._session(request)
         same = self.store.same_component(
-            session, int(request["u"]), int(request["v"])
+            session, self._node_id(request, "u"), self._node_id(request, "v")
         )
         return {"ok": True, "same": same}
 
     def _op_reachable(self, request: dict) -> dict:
         session = self._session(request)
         reachable = self.store.reachable(
-            session, int(request["u"]), int(request["v"])
+            session, self._node_id(request, "u"), self._node_id(request, "v")
         )
         return {"ok": True, "reachable": reachable}
 

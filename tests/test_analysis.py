@@ -1,4 +1,4 @@
-"""Tests for the analysis layer: cost model, graph stats, time-forward."""
+"""Tests for the analysis layer: cost model and graph stats."""
 
 import math
 
@@ -7,20 +7,14 @@ import pytest
 from tests.conftest import random_edges
 
 from repro.analysis import (
-    BowTie,
     CostModel,
     arboricity_upper_bound,
-    bowtie_decomposition,
-    dag_levels,
     degree_stats,
 )
 from repro.core import compute_sccs
-from repro.graph.digraph import DiGraph
 from repro.graph.edge_file import EdgeFile
-from repro.graph.generators import path_graph, random_dag, webspam_like
 from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
-from repro.memory_scc import tarjan_scc, topological_order
 
 
 class TestCostModelPrimitives:
@@ -135,61 +129,6 @@ class TestCostModelPipeline:
         assert large > small
 
 
-class TestMultiBfsMemoryTrade:
-    """The cost model prices the multi-bfs mask-column memory trade via
-    the solver's own ``source_budget`` (satellite: pinned pricing)."""
-
-    def test_source_budget_delegation_pinned(self):
-        # n=1000, B=1024, M = 8n + B + 2000: spare = 2000 bytes, each
-        # batch of 8 sources costs 2n = 2000 mask bytes -> S = 8.
-        model = CostModel(block_size=1024, memory_bytes=8 * 1000 + 1024 + 2000)
-        assert model.multi_bfs_sources(1000) == 8
-        assert model.multi_bfs_mask_bytes(1000, 8) == 2000
-        # Covering the requested 64-source batch at 8 per round takes
-        # ceil(64 / 8) = 8 rounds of edge scans.
-        assert model.multi_bfs_round_factor(1000) == 8
-
-    def test_matches_solver_source_budget(self):
-        from repro.io.memory import MemoryBudget
-        from repro.semi_external.multi_bfs import source_budget
-
-        for nbytes in (8 * 500 + 64 + 1, 8 * 500 + 64 + 500, 1 << 20):
-            model = CostModel(block_size=64, memory_bytes=nbytes)
-            assert model.multi_bfs_sources(500) == source_budget(
-                500, MemoryBudget(nbytes), 64
-            )
-
-    def test_ample_memory_factor_is_one(self):
-        model = CostModel(block_size=1024, memory_bytes=1 << 20)
-        assert model.multi_bfs_round_factor(1000) == 1
-        # ... so the multi-bfs price collapses to the plain semi-SCC one.
-        assert model.semi_scc_multi_bfs(5000, 1000, 3) == model.semi_scc(5000, 3)
-
-    def test_tight_memory_scales_semi_scc(self):
-        model = CostModel(block_size=1024, memory_bytes=8 * 1000 + 1024 + 2000)
-        assert model.semi_scc_multi_bfs(5000, 1000, 3) == 8 * model.semi_scc(5000, 3)
-
-    def test_makespan_solver_aware(self):
-        from repro.core.ext_scc import IterationRecord
-        from repro.io.stats import IOSnapshot
-
-        record = IterationRecord(
-            level=1, num_nodes=2000, num_edges=8000,
-            next_num_nodes=1000, next_num_edges=5000, io=IOSnapshot(),
-        )
-        tight = CostModel(block_size=1024, memory_bytes=8 * 1000 + 1024 + 2000)
-        plain = tight.ext_scc_makespan([record], workers=1)
-        bfs = tight.ext_scc_makespan(
-            [record], workers=1, solver="multi-bfs", final_nodes=1000
-        )
-        extra = 8 * tight.semi_scc(5000, 3) - tight.semi_scc(5000, 3)
-        assert bfs == plain + extra
-        # Non-multi-bfs solvers are priced exactly as before.
-        assert tight.ext_scc_makespan(
-            [record], workers=1, solver="spanning-tree", final_nodes=1000
-        ) == plain
-
-
 class TestDegreeStats:
     def test_star_graph(self, device, memory):
         edges = [(0, i) for i in range(1, 9)]
@@ -227,77 +166,3 @@ class TestDegreeStats:
         stats = degree_stats(EdgeFile.from_edges(device, "e", []), memory)
         assert arboricity_upper_bound(stats) == 0
 
-
-class TestBowTie:
-    def test_simple_bowtie(self):
-        # IN(0) -> CORE{1,2} -> OUT(3); 4 isolated-ish tendril (5).
-        edges = [(0, 1), (1, 2), (2, 1), (2, 3)]
-        graph = DiGraph(edges, nodes=[0, 1, 2, 3, 5])
-        labels = tarjan_scc(graph)
-        tie = bowtie_decomposition(graph, labels)
-        assert tie.core == 2
-        assert tie.in_size == 1
-        assert tie.out_size == 1
-        assert tie.tendrils == 1
-        assert tie.total == 5
-
-    def test_webspam_core_dominates(self):
-        g = webspam_like(400, avg_degree=5.0, seed=3)
-        graph = DiGraph(g.edges, nodes=range(400))
-        tie = bowtie_decomposition(graph, tarjan_scc(graph))
-        assert tie.core >= len(g.planted_sccs[0])
-        assert tie.total == 400
-
-
-class TestTimeForward:
-    def run_levels(self, edges, num_nodes, block=64, mem=512):
-        device = BlockDevice(block_size=block)
-        memory = MemoryBudget(mem)
-        ef = EdgeFile.from_edges(device, "E", edges)
-        graph = DiGraph(edges, nodes=range(num_nodes))
-        order = topological_order(graph)
-        out = dag_levels(device, ef, order, memory)
-        return dict(out.scan()), device
-
-    def test_path_levels(self):
-        levels, _ = self.run_levels(path_graph(10).edges, 10)
-        assert levels == {i: i for i in range(10)}
-
-    def test_diamond(self):
-        edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
-        levels, _ = self.run_levels(edges, 4)
-        assert levels == {0: 0, 1: 1, 2: 1, 3: 2}
-
-    def test_isolated_nodes_level_zero(self):
-        levels, _ = self.run_levels([(0, 1)], 4)
-        assert levels[2] == 0
-        assert levels[3] == 0
-
-    def test_matches_longest_path_on_random_dags(self):
-        for seed in range(4):
-            g = random_dag(40, 100, seed=seed)
-            levels, _ = self.run_levels(g.edges, 40)
-            graph = DiGraph(g.edges, nodes=range(40))
-            expected = {}
-            for v in topological_order(graph):
-                expected[v] = max(
-                    (expected[u] + 1 for u in graph.in_neighbors(v)), default=0
-                )
-            assert levels == expected
-
-    def test_rejects_cycles(self):
-        device = BlockDevice(block_size=64)
-        ef = EdgeFile.from_edges(device, "E", [(0, 1), (1, 0)])
-        with pytest.raises(ValueError):
-            dag_levels(device, ef, [0, 1], MemoryBudget(512))
-
-    def test_no_random_io(self):
-        g = random_dag(50, 140, seed=9)
-        _, device = self.run_levels(g.edges, 50)
-        assert device.stats.random == 0
-
-    def test_every_edge_strictly_raises_level(self):
-        g = random_dag(35, 90, seed=5)
-        levels, _ = self.run_levels(g.edges, 35)
-        for u, v in g.edges:
-            assert levels[v] >= levels[u] + 1

@@ -17,6 +17,7 @@ from repro.graph.generators import (
 from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
 from repro.graph.edge_file import EdgeFile, NodeFile
+from repro.semi_external import SEMI_SCC_SOLVERS
 
 
 CONFIGS = {
@@ -187,7 +188,7 @@ class TestDriverBehaviour:
     def test_all_semi_solvers_supported(self):
         edges = random_edges(40, 90, seed=3)
         reference = reference_sccs(edges, 40)
-        for solver in ("spanning-tree", "forward-backward", "multi-bfs"):
+        for solver in SEMI_SCC_SOLVERS:
             out = compute_sccs(edges, num_nodes=40, memory_bytes=400,
                                block_size=64,
                                config=ExtSCCConfig(semi_scc=solver))

@@ -2,13 +2,25 @@
 
 import random
 
+from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.runs import (
-    form_runs,
-    form_runs_replacement_selection,
-    run_iterator,
-)
+from repro.io.runs import form_runs_replacement_selection, run_iterator
 from repro.io.sort import merge_runs
+
+
+def form_runs(device, records, record_size, memory, key=None):
+    """The classic load-sort-write pass, kept as the oracle replacement
+    selection is measured against: fill memory, sort, write, repeat, so an
+    input of ``m`` records yields ``ceil(m / M)`` runs."""
+    capacity = max(1, memory.record_capacity(record_size))
+    records = list(records)
+    runs = []
+    for start in range(0, len(records), capacity):
+        run = ExternalFile.create(device, device.temp_name("run"), record_size)
+        run.extend(sorted(records[start:start + capacity], key=key))
+        run.close()
+        runs.append(run)
+    return runs
 
 
 class TestFormRuns:

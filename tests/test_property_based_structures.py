@@ -1,49 +1,19 @@
-"""Property-based tests (round two): the external data structures and
-transforms, against in-memory oracles."""
-
-import heapq
+"""Property-based tests (round two): the external data structures against
+in-memory oracles."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brt import BufferedRepositoryTree
-from repro.graph.edge_file import EdgeFile, NodeFile
-from repro.graph.transforms import induced_subgraph, symmetrize
+from repro.graph.edge_file import EdgeFile
 from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
-from repro.io.priority_queue import ExternalPriorityQueue
 
 SETTINGS = settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-class TestEPQProperties:
-    ops_strategy = st.lists(
-        st.one_of(
-            st.tuples(st.just("push"), st.integers(0, 50), st.integers(0, 50)),
-            st.tuples(st.just("pop"), st.just(0), st.just(0)),
-        ),
-        max_size=150,
-    )
-
-    @SETTINGS
-    @given(ops_strategy)
-    def test_matches_heapq(self, ops):
-        device = BlockDevice(block_size=64)
-        pq = ExternalPriorityQueue(device, MemoryBudget(64))
-        oracle = []
-        for op, key, payload in ops:
-            if op == "push":
-                pq.push(key, payload)
-                heapq.heappush(oracle, (key, payload))
-            elif oracle:
-                assert pq.pop_min() == heapq.heappop(oracle)
-        while oracle:
-            assert pq.pop_min() == heapq.heappop(oracle)
-        assert len(pq) == 0
 
 
 class TestBRTProperties:
@@ -69,35 +39,6 @@ class TestBRTProperties:
                 assert sorted(brt.extract_all(key)) == sorted(oracle.pop(key, []))
         for key in list(oracle):
             assert sorted(brt.extract_all(key)) == sorted(oracle.pop(key))
-
-
-class TestTransformProperties:
-    edges_strategy = st.lists(
-        st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40
-    )
-
-    @SETTINGS
-    @given(edges_strategy)
-    def test_symmetrize_is_symmetric_and_idempotent(self, edges):
-        device = BlockDevice(block_size=64)
-        memory = MemoryBudget(256)
-        ef = EdgeFile.from_edges(device, "E", edges)
-        sym = symmetrize(ef, memory)
-        sym_edges = set(sym.scan())
-        assert all((v, u) in sym_edges for u, v in sym_edges)
-        again = symmetrize(sym, memory)
-        assert set(again.scan()) == sym_edges
-
-    @SETTINGS
-    @given(edges_strategy, st.sets(st.integers(0, 12)))
-    def test_induced_subgraph_definition(self, edges, keep):
-        device = BlockDevice(block_size=64)
-        memory = MemoryBudget(256)
-        ef = EdgeFile.from_edges(device, "E", edges)
-        nodes = NodeFile.from_ids(device, "N", sorted(keep), memory, presorted=True)
-        out = list(induced_subgraph(ef, nodes, memory).scan())
-        expected = [e for e in edges if e[0] in keep and e[1] in keep]
-        assert sorted(out) == sorted(expected)
 
 
 class TestDegreeSumProperty:

@@ -17,8 +17,6 @@ from repro.io.memory import MemoryBudget
 from repro.semi_external import (
     SEMI_SCC_SOLVERS,
     SpanningTreeStats,
-    forward_backward_scc,
-    multi_bfs_scc,
     run_semi_scc_to_file,
     spanning_tree_scc,
 )
@@ -105,7 +103,7 @@ class TestMemoryContract:
         edges = cycle_graph(100).edges
         edge_file = EdgeFile.from_edges(device, "e", edges)
         tiny = MemoryBudget(100)  # < 8 * 100 + 64
-        for solver in (spanning_tree_scc, forward_backward_scc, multi_bfs_scc):
+        for name, solver in SEMI_SCC_SOLVERS.items():
             with pytest.raises(InsufficientMemory):
                 solver(edge_file, range(100), memory=tiny)
 

@@ -3,6 +3,7 @@ lookups, per-tenant session ledgers/throttling, daemon round trips."""
 
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -347,6 +348,60 @@ class TestDaemonRoundTrip:
             with pytest.raises(ServiceProtocolError):
                 client.request({"op": "scc-label", "session": session,
                                 "nodes": "zero"})
+        with ServiceClient(port=served.address[1]) as peer:
+            peer.open_session("peer")
+            before = (peer.scc_label(list(range(9))), peer.reachable(0, 6))
+            with socket.create_connection(served.address) as sock:
+                answers = sock.makefile("rb")
+                sock.sendall(b'{"op": "open-session"}\n')
+                session = json.loads(answers.readline())["session"]
+                bad_lines = [b"{bad json", b'{"op": "ping\xff"}', b"\xfe\xff"]
+                for op in ("same-component", "reachable"):
+                    for u in ({}, {"u": "x"}, {"u": None}, {"u": 0.9},
+                              {"u": True}):
+                        request = dict(op=op, session=session, v=2, **u)
+                        bad_lines.append(json.dumps(request).encode())
+                bad_lines += [
+                    json.dumps({"op": "reachable", "session": session,
+                                "u": 0.9, "v": 2.5}).encode(),
+                    json.dumps({"op": "scc-label", "session": session,
+                                "nodes": [True, False]}).encode(),
+                    json.dumps({"op": "topo-order", "session": session,
+                                "nodes": [0, True]}).encode(),
+                    b'{"op": "open-session", "io_budget": true}',
+                ]
+                for line in bad_lines:
+                    sock.sendall(line + b"\n")
+                    response = json.loads(answers.readline())
+                    assert response["ok"] is False, line
+                    assert response["error"] == "protocol", (line, response)
+                sock.sendall(b'{"op": "ping"}\n')
+                assert json.loads(answers.readline()) == {"ok": True,
+                                                          "op": "ping"}
+                # Only the one good open-session above created a session.
+                sock.sendall(b'{"op": "server-stats"}\n')
+                stats = json.loads(answers.readline())["stats"]
+                assert stats["sessions"]["open_sessions"] == 2
+            assert (peer.scc_label(list(range(9))), peer.reachable(0, 6)) == before
+            assert before == (LABELS, True)
+
+    def test_client_reset_mid_response_is_not_a_traceback(self, served, capfd):
+        """A client that pipelines requests and resets the connection
+        (SO_LINGER 0) ends its own connection quietly; the daemon keeps
+        serving."""
+        request = json.dumps({"op": "server-stats"}).encode() + b"\n"
+        for _ in range(5):
+            sock = socket.create_connection(served.address)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.sendall(request * 200)
+            sock.close()  # RST while the daemon is still answering
+        time.sleep(0.2)
+        with ServiceClient(port=served.address[1]) as client:
+            assert client.ping()
+        captured = capfd.readouterr()
+        assert "Traceback" not in captured.err
+        assert "ConnectionResetError" not in captured.err
 
     def test_throttled_round_trips_as_budget_error(self, store_dir):
         store = LabelStore(store_dir, cache_entries=0)
