@@ -21,7 +21,8 @@ primitive over an edge file; it is the same external pipeline Get-V runs
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from operator import neg
+from typing import List, Set, Tuple
 
 from repro.core.operators import NodeKey
 from repro.graph.edge_file import EdgeFile, NodeFile
@@ -42,9 +43,9 @@ class BoundedCoverTable:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = max(0, capacity)
-        self._keys: Dict[int, NodeKey] = {}
-        # Max-heap on keys via negated tuples; entries go stale after
-        # eviction and are skipped lazily.
+        self._members: Set[int] = set()
+        # Max-heap on keys via negated tuples, one entry per member, so
+        # the root is always the member to evict.
         self._heap: List[Tuple[NodeKey, int]] = []
 
     @classmethod
@@ -53,22 +54,19 @@ class BoundedCoverTable:
         return cls(nbytes // _TABLE_ENTRY_BYTES)
 
     def __contains__(self, node: int) -> bool:
-        return node in self._keys
+        return node in self._members
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._members)
 
     def add(self, node: int, key: NodeKey) -> None:
         """Remember ``node``; evict the largest-key member when full."""
-        if self.capacity == 0 or node in self._keys:
+        if self.capacity == 0 or node in self._members:
             return
-        self._keys[node] = key
-        heapq.heappush(self._heap, (tuple(-k for k in key), node))
-        while len(self._keys) > self.capacity:
-            neg_key, victim = heapq.heappop(self._heap)
-            stored = self._keys.get(victim)
-            if stored is not None and tuple(-k for k in stored) == neg_key:
-                del self._keys[victim]
+        self._members.add(node)
+        heapq.heappush(self._heap, (tuple(map(neg, key)), node))
+        if len(self._members) > self.capacity:
+            self._members.remove(heapq.heappop(self._heap)[1])
 
 
 def external_vertex_cover(

@@ -188,7 +188,7 @@ def _membership_join(
     lookups instead of a per-record two-pointer walk.  Both streams are
     still consumed in a single forward pass (every block read once,
     sequentially, same ledger); like the merge kernel's
-    :data:`~repro.kernels.merge.MERGE_CHUNK` read-ahead, chunking
+    :data:`~repro.kernels.merge.MERGE_WINDOW` read-ahead, chunking
     reorders *host* work only.  Key chunks are dropped from the window
     as soon as the record frontier passes them, so the resident window
     is the keys spanned by one record chunk plus one chunk of

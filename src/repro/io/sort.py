@@ -16,12 +16,18 @@ Two constant-factor levers on top of the textbook algorithm:
 * :func:`external_sort_stream` exposes the *final merge as an iterator*
   instead of materializing it, so a downstream operator (a merge join, a
   semi-join filter, another sort's run formation) can consume sorted output
-  directly.  Every fused boundary eliminates one full write pass and one
-  full read pass over the stream — the pipelining the tentpole operators in
+  directly.  The merge is handed out in batches that ``chain`` flattens in
+  C, so the consumer pulls records without resuming a generator.  Every
+  fused boundary eliminates one full write pass and one full read pass
+  over the stream — the pipelining the tentpole operators in
   ``repro.core`` are built on.  :func:`external_sort_records` is the
   materializing wrapper; when run formation yields a single run (input
   ``≲ 2M``) it renames the run into place instead of copying it, saving
   another read+write pass.
+
+Every merge, whatever its fan-in, is the one k-way kernel
+:func:`repro.kernels.merge_batches`: a window of records per run, merged
+a batch at a time by Timsort, with ties going to the earlier run.
 
 Merge passes are reported to the device's :class:`~repro.io.stats.IOStats`
 (``stats.merge_passes`` / ``stats.runs_formed``) so benchmarks can verify
@@ -40,8 +46,7 @@ encoder.
 
 from __future__ import annotations
 
-import heapq
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -55,7 +60,7 @@ from repro.io.runs import (
     KEY_SRC_DST,
     form_runs_replacement_selection,
 )
-from repro.kernels import merge_two_keyed, merge_two_unkeyed
+from repro.kernels import merge_batches
 
 __all__ = [
     "KEY_DST_AUX_SRC",
@@ -150,6 +155,17 @@ def _form_and_reduce_runs(
     return runs, resolved
 
 
+class _SortedStream(chain):
+    """The final merge of :func:`external_sort_stream`, flattened from
+    batches by ``chain``; :meth:`close` closes the batch generator, which
+    deletes the runs."""
+
+    __slots__ = ("_batches",)
+
+    def close(self) -> None:
+        self._batches.close()
+
+
 def external_sort_stream(
     device: BlockDevice,
     records: Iterable[Record],
@@ -171,6 +187,27 @@ def external_sort_stream(
     Run files are deleted when the stream is exhausted or closed, so
     abandoning the iterator early does not leak simulated disk space.
     """
+    batches = _sorted_batches(
+        device, records, record_size, memory, key, unique, codec, sort_field
+    )
+    stream = _SortedStream.from_iterable(batches)
+    stream._batches = batches
+    return stream
+
+
+def _sorted_batches(
+    device: BlockDevice,
+    records: Iterable[Record],
+    record_size: int,
+    memory: MemoryBudget,
+    key: Optional[KeyFn],
+    unique: bool,
+    codec: Union[None, str, Codec],
+    sort_field: Optional[int],
+) -> Iterator[List[Record]]:
+    """The batches behind :func:`external_sort_stream`.  With ``unique``,
+    each batch is deduplicated in C and a record that repeats the previous
+    batch's last record is dropped."""
     runs, _ = _form_and_reduce_runs(
         device, records, record_size, memory, key, codec, sort_field
     )
@@ -179,10 +216,18 @@ def external_sort_stream(
     try:
         if len(runs) > 1:
             device.stats.record_merge_pass()
-        merged = merge_runs((run.scan() for run in runs), key=key)
-        if unique:
-            merged = sorted_unique_scan(merged)
-        yield from merged
+        batches = merge_batches([run.scan() for run in runs], key)
+        if not unique:
+            yield from batches
+            return
+        last = None
+        for batch in batches:
+            batch = list(sorted_unique_scan(batch))
+            if batch[0] == last:
+                del batch[0]
+            if batch:
+                last = batch[-1]
+                yield batch
     finally:
         for run in runs:
             if device.exists(run.name):
@@ -239,11 +284,10 @@ def _merge_pass(
 ) -> List[RecordStore]:
     """Merge groups of ``fan_in`` runs into longer runs (one full pass).
 
-    The groups are independent (disjoint inputs, separate outputs), so
-    when the device has a :class:`~repro.io.parallel.WorkerPool` attached
-    they run as one barrier of parallel tasks.  Each group's reads and
-    writes are identical either way — the pool only changes overlap, so
-    the ledger totals match the serial pass exactly.
+    The groups are independent (disjoint inputs, separate outputs) and
+    merge one after another.  With a :class:`~repro.io.parallel.WorkerPool`
+    attached to the device they run as its supervised tasks, still in
+    order, so the ledger is the same with or without the pool.
     """
     device.stats.record_merge_pass()
 
@@ -266,25 +310,17 @@ def _merge_pass(
 def merge_runs(
     streams: Iterable[Iterator[Record]], key: Optional[KeyFn] = None
 ) -> Iterator[Record]:
-    """K-way merge of sorted record streams (an in-memory heap of heads).
+    """Stable k-way merge of sorted record streams: on a tie the *earlier*
+    stream wins, exactly :func:`heapq.merge`'s contract.
 
-    Small fan-ins are special-cased: one stream needs no merge at all and
-    two streams merge faster through the kernel layer's dedicated 2-way
-    merges — chunked Timsort galloping when the kernel fast path is
-    active, a direct two-pointer loop otherwise — than through the
-    generic heap (stability is preserved — on a tie the *earlier* stream
-    wins, exactly :func:`heapq.merge`'s contract).
+    One stream needs no merge; every fan-in of two or more runs through
+    the chunked kernel :func:`repro.kernels.merge_batches`, flattened in
+    C.
     """
     streams = list(streams)
     if len(streams) == 1:
         return iter(streams[0])
-    if len(streams) == 2:
-        if key is None:
-            return merge_two_unkeyed(streams[0], streams[1])
-        return merge_two_keyed(streams[0], streams[1], key)
-    if key is None:
-        return heapq.merge(*streams)
-    return heapq.merge(*streams, key=key)
+    return chain.from_iterable(merge_batches(streams, key))
 
 
 def sorted_unique_scan(records: Iterable[Record]) -> Iterator[Record]:

@@ -2,23 +2,16 @@
 
 The simulated external-memory model charges I/O per *block*, but the
 host-CPU cost of a run is dominated by per-record Python loops.
-:mod:`repro.kernels.merge` holds the chunked 2-way merges of the external
-sort (pure Python; Timsort's C run-merge does the bulk work).
+:mod:`repro.kernels.merge` holds the external sort's one k-way merge: a
+window of records per stream, merged a batch at a time by Timsort's C
+run-merge.
 
 Every kernel obeys one contract: **bit-for-bit output equality with the
-two-pointer reference loops** the test suite keeps.  A kernel may reorder
-host work (chunking, lookahead) but never changes an emitted record or
-any simulated-I/O counter.
+reference** the test suite keeps (:func:`heapq.merge` for the merge).  A
+kernel may reorder host work (batching, read-ahead) but never changes an
+emitted record or any simulated-I/O counter.
 """
 
-from repro.kernels.merge import (
-    MERGE_CHUNK,
-    merge_two_keyed,
-    merge_two_unkeyed,
-)
+from repro.kernels.merge import MERGE_WINDOW, merge_batches
 
-__all__ = [
-    "MERGE_CHUNK",
-    "merge_two_keyed",
-    "merge_two_unkeyed",
-]
+__all__ = ["MERGE_WINDOW", "merge_batches"]

@@ -121,6 +121,16 @@ class TestSortStream:
         )
         assert streamed == [(i, 0) for i in range(10)]
 
+    def test_unique_across_merge_batches(self, device, memory):
+        # Many runs of long duplicate stretches: equal records straddle
+        # the merge's batch boundaries and must still collapse to one.
+        records = [(i * 7 % 23, i % 2) for i in range(6000)]
+        streamed = list(
+            external_sort_stream(device, iter(records), 8, memory, unique=True)
+        )
+        assert streamed == sorted(set(records))
+        assert device.stats.runs_formed > 2
+
     def test_run_files_cleaned_up(self, device, memory):
         records = [(i * 31 % 200, i) for i in range(300)]
         before = set(device.list_files())

@@ -1,6 +1,8 @@
 """Tests for the external vertex cover and the Type-2 bounded table."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import random_edges
 
@@ -112,3 +114,31 @@ class TestBoundedCoverTable:
         assert 1 in table
         assert 3 in table
         assert len(table) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        capacity=st.integers(0, 5),
+        width=st.sampled_from([2, 3]),
+        adds=st.lists(
+            st.tuples(st.integers(0, 9), st.lists(st.integers(0, 3), min_size=3,
+                                                  max_size=3)),
+            max_size=60,
+        ),
+    )
+    def test_matches_reference_model(self, capacity, width, adds):
+        """The table keeps the ``capacity`` smallest keys: a plain dict
+        that evicts its largest key (ties: the smallest node) after every
+        insert holds the same members after every add."""
+        table = BoundedCoverTable(capacity)
+        model = {}
+        for node, fields in adds:
+            key = tuple(fields[:width])
+            table.add(node, key)
+            if capacity and node not in model:
+                model[node] = key
+                if len(model) > capacity:
+                    victim = min(model, key=lambda n: (
+                        tuple(-k for k in model[n]), n))
+                    del model[victim]
+            assert len(table) == len(model)
+            assert all(n in table for n in model)
