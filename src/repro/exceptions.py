@@ -79,14 +79,16 @@ class SimulatedCrash(ReproError):
 
 
 class CorruptBlockError(StorageError):
-    """A block's content does not match its checksum (e.g. a torn write).
+    """A block's content does not match its checksum (e.g. a torn write),
+    or a checksum-valid block's header is impossible for its file.
 
     Carries the file name and block index so recovery code can report —
     and discard — exactly the damaged region.
     """
 
-    def __init__(self, name: str, index: int) -> None:
-        super().__init__(f"block {index} of {name!r} fails its checksum")
+    def __init__(self, name: str, index: int,
+                 reason: str = "fails its checksum") -> None:
+        super().__init__(f"block {index} of {name!r} {reason}")
         self.name = name
         self.index = index
 

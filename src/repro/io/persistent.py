@@ -8,7 +8,9 @@ measurements carry over.
 
 Physical layout: each simulated file is one ``<name>.blk`` file of
 fixed-size block slots.  A slot holds a record-count header plus the
-records' integer fields, each stored as a little-endian ``int64``.  (The
+records' integer fields, each stored as a little-endian ``int64`` and
+zero-padded to the block's capacity, so one precompiled whole-slot
+:class:`struct.Struct` per file packs or unpacks a block in one call.  (The
 *accounted* record width stays the paper's 4-byte-id model — the model's
 byte arithmetic is about block capacity, not about Python's ability to
 overflow 32 bits.)  A ``manifest.json`` records every file's metadata so a
@@ -30,6 +32,7 @@ import os
 import struct
 import threading
 import zlib
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,6 +52,8 @@ Record = Tuple[int, ...]
 PathLike = Union[str, Path]
 
 _FIELD = struct.Struct("<q")
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 _COUNT = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 _MANIFEST = "manifest.json"
@@ -109,6 +114,25 @@ def _decode_obj(payload: bytes, offset: int) -> Tuple[object, int]:
     raise StorageError(f"corrupt var-record slot (tag {tag!r})")
 
 
+def _unstorable(name: str, records: Sequence[object]) -> StorageError:
+    """The error for a block holding a value no ``int64`` field can store.
+
+    Called after ``struct`` refused the block, so it walks the (nested)
+    records only on that failure path to name the offending value.
+    """
+    stack = list(reversed(records))
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, list)):
+            stack.extend(reversed(value))
+        elif not (isinstance(value, int) and _INT64_MIN <= value <= _INT64_MAX):
+            return StorageError(
+                f"file {name!r} stores signed 64-bit integers; "
+                f"{value!r} does not fit"
+            )
+    return StorageError(f"file {name!r}: a record does not fit its slot")
+
+
 def _safe_filename(name: str) -> str:
     """File-system-safe encoding of a simulated file name."""
     return "".join(c if c.isalnum() or c in "._-" else f"_{ord(c):02x}" for c in name)
@@ -122,12 +146,15 @@ class PersistentDiskFile(DiskFile):
         super().__init__(name, record_size, block_capacity)
         self.path = path
         self.fields = _fields_per_record(record_size)
+        # The whole-slot codec of a fixed-width file: capacity * fields
+        # little-endian int64s after the count header.
+        self.slot_struct: Optional[struct.Struct] = None
         if self.fields is None:
             # Variable-record slot: bounded by the accounting invariant.
             self.slot_bytes = _COUNT.size + block_capacity * _VAR_SLOT_FACTOR
         else:
-            # One slot = count header + capacity * fields * 8 bytes.
-            self.slot_bytes = _COUNT.size + block_capacity * self.fields * _FIELD.size
+            self.slot_struct = struct.Struct(f"<{block_capacity * self.fields}q")
+            self.slot_bytes = _COUNT.size + self.slot_struct.size
         # Every slot is prefixed by a CRC32 of its (padded) payload so torn
         # writes are detectable on read — the crash-consistency contract.
         self.slot_bytes += _CRC.size
@@ -364,19 +391,14 @@ class PersistentBlockDevice(BlockDevice):
         return handle
 
     def _encode(self, f: PersistentDiskFile, records: Sequence[Record]) -> bytes:
+        if f.slot_struct is not None:
+            return self._encode_fixed(f, records)
         parts = [_COUNT.pack(len(records))]
-        if f.fields is None:
+        try:
             for record in records:
                 _encode_obj(record, parts)
-        else:
-            for record in records:
-                if len(record) != f.fields:
-                    raise StorageError(
-                        f"record {record!r} has {len(record)} fields; file "
-                        f"{f.name!r} stores {f.fields}-field records"
-                    )
-                for value in record:
-                    parts.append(_FIELD.pack(value))
+        except struct.error:
+            raise _unstorable(f.name, records) from None
         payload = b"".join(parts)
         room = f.slot_bytes - _CRC.size
         if len(payload) > room:
@@ -387,29 +409,55 @@ class PersistentBlockDevice(BlockDevice):
         return payload.ljust(room, b"\0")
 
     @staticmethod
+    def _encode_fixed(f: PersistentDiskFile, records: Sequence[Record]) -> bytes:
+        """One whole-slot ``pack``: every field, zero-padded to capacity."""
+        fields = f.fields
+        if records and set(map(len, records)) != {fields}:
+            record = next(r for r in records if len(r) != fields)
+            raise StorageError(
+                f"record {record!r} has {len(record)} fields; file "
+                f"{f.name!r} stores {fields}-field records"
+            )
+        if len(records) > f.block_capacity:
+            raise StorageError(
+                f"block of {len(records)} records overflows the "
+                f"{f.block_capacity}-record slot of {f.name!r}"
+            )
+        values = list(chain.from_iterable(records))
+        values.extend(repeat(0, (f.block_capacity - len(records)) * fields))
+        try:
+            body = f.slot_struct.pack(*values)  # type: ignore[union-attr]
+        except struct.error:
+            raise _unstorable(f.name, records) from None
+        return _COUNT.pack(len(records)) + body
+
+    @staticmethod
     def _seal(payload: bytes) -> Tuple[bytes, int]:
         """Prefix a padded slot payload with its CRC32; returns the full
         slot bytes and the checksum value (also kept in the manifest)."""
         checksum = zlib.crc32(payload)
         return _CRC.pack(checksum) + payload, checksum
 
-    def _decode(self, f: PersistentDiskFile, payload: bytes) -> List[Record]:
+    @staticmethod
+    def _decode(f: PersistentDiskFile, payload: bytes, index: int) -> List[Record]:
         (count,) = _COUNT.unpack_from(payload, 0)
-        records: List[Record] = []
-        offset = _COUNT.size
-        if f.fields is None:
+        if count > f.block_capacity:
+            # Only a slot written by something other than this device can
+            # carry it: the CRC matched, but the header is not ours.
+            raise CorruptBlockError(
+                f.name, index,
+                f"claims {count} records in a {f.block_capacity}-record slot",
+            )
+        if f.slot_struct is None:
+            records: List[Record] = []
+            offset = _COUNT.size
             for _ in range(count):
                 record, offset = _decode_obj(payload, offset)
                 records.append(record)  # type: ignore[arg-type]
             return records
-        for _ in range(count):
-            fields = tuple(
-                _FIELD.unpack_from(payload, offset + i * _FIELD.size)[0]
-                for i in range(f.fields)
-            )
-            records.append(fields)
-            offset += f.fields * _FIELD.size
-        return records
+        values = f.slot_struct.unpack_from(payload, _COUNT.size)
+        fields: int = f.fields  # type: ignore[assignment]
+        return list(zip(*[iter(values[: count * fields])] * fields))
 
     def _append_impl(self, f: DiskFile, records: Sequence[Record]) -> None:
         assert isinstance(f, PersistentDiskFile)
@@ -442,7 +490,7 @@ class PersistentBlockDevice(BlockDevice):
         assert isinstance(f, PersistentDiskFile)
         payload = self._read_slot(f, index)
         self._charge_read(f, index, sequential=sequential)
-        return self._decode(f, payload)
+        return self._decode(f, payload, index)
 
     def _overwrite_impl(self, f: DiskFile, index: int, records: Sequence[Record],
                         sequential: bool) -> None:
@@ -508,7 +556,7 @@ class PersistentBlockDevice(BlockDevice):
         expected = f.block_checksums[index] if index < len(f.block_checksums) else None
         if expected is not None and zlib.crc32(payload) != expected:
             raise CorruptBlockError(f.name, index)
-        return self._decode(f, payload)
+        return self._decode(f, payload, index)
 
     def remove_orphan_blocks(self) -> int:
         """Unlink ``.blk`` files not referenced by any live file — the
@@ -685,7 +733,7 @@ class ReadOnlyView:
             )
         payload = self._base._read_slot(f, index)
         self.stats.record_read(sequential=sequential)
-        return self._base._decode(f, payload)
+        return self._base._decode(f, payload, index)
 
     # -- rejected mutators -------------------------------------------------
 

@@ -12,6 +12,7 @@ measurements.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -60,33 +61,36 @@ class Span:
 
 
 class TraceLedger:
-    """An append-only list of executed spans with aggregate views."""
+    """A list of executed spans with aggregate views.
 
-    def __init__(self) -> None:
+    Args:
+        window: keep only the most recent ``window`` spans in
+            :attr:`spans` (``None`` keeps every span).  The count
+            (:attr:`recorded`) and the aggregate views are running totals
+            over every span ever recorded, so a long-lived process — the
+            query daemon records one span per batch flush — holds flat
+            memory however long it runs.
+
+    :meth:`record` may be called from several threads (the daemon's
+    batch engines share one ledger); the running totals are updated
+    under a lock.
+    """
+
+    def __init__(self, window: Optional[int] = None) -> None:
         self.spans: List[Span] = []
+        self.window = window
+        self.recorded = 0
+        self._phases: Dict[str, Dict[str, float]] = {}
+        self._lock = threading.Lock()
 
     def record(self, span: Span) -> None:
-        self.spans.append(span)
-
-    @property
-    def total_measured(self) -> int:
-        """Measured blocks across every span."""
-        return sum(s.measured_ios for s in self.spans)
-
-    @property
-    def total_predicted(self) -> int:
-        """Predicted blocks across every span with a prediction."""
-        return sum(s.predicted_ios or 0 for s in self.spans)
-
-    def by_phase(self) -> Dict[str, Dict[str, float]]:
-        """``{phase: {predicted, measured, makespan, wall_seconds}}`` over
-        the run's top-level phases (the prefix before the first ``/``).
-        ``wall_seconds`` is the one float — a host measurement riding along
-        with the simulated counters."""
-        out: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            top = span.phase.split("/", 1)[0] if span.phase else ""
-            bucket = out.setdefault(
+        top = span.phase.split("/", 1)[0] if span.phase else ""
+        with self._lock:
+            self.spans.append(span)
+            if self.window is not None and len(self.spans) > self.window:
+                del self.spans[0]
+            self.recorded += 1
+            bucket = self._phases.setdefault(
                 top,
                 {"predicted": 0, "measured": 0, "makespan": 0, "wall_seconds": 0.0},
             )
@@ -94,7 +98,24 @@ class TraceLedger:
             bucket["measured"] += span.measured_ios
             bucket["makespan"] += span.makespan
             bucket["wall_seconds"] += span.wall_seconds
-        return out
+
+    @property
+    def total_measured(self) -> int:
+        """Measured blocks across every span."""
+        return sum(int(b["measured"]) for b in self.by_phase().values())
+
+    @property
+    def total_predicted(self) -> int:
+        """Predicted blocks across every span with a prediction."""
+        return sum(int(b["predicted"]) for b in self.by_phase().values())
+
+    def by_phase(self) -> Dict[str, Dict[str, float]]:
+        """``{phase: {predicted, measured, makespan, wall_seconds}}`` over
+        the run's top-level phases (the prefix before the first ``/``).
+        ``wall_seconds`` is the one float — a host measurement riding along
+        with the simulated counters."""
+        with self._lock:
+            return {top: dict(bucket) for top, bucket in self._phases.items()}
 
     def render(self) -> str:
         """A printable per-span table (predicted vs. measured blocks)."""

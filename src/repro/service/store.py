@@ -60,6 +60,7 @@ META_NAME = "service-meta.json"
 LABELS_FILE = "scc-labels"
 COND_EDGES_FILE = "cond-edges"
 TOPO_FILE = "topo-layers"
+SPAN_WINDOW = 1024  # recent flush spans a LabelStore keeps
 
 Edge = Tuple[int, int]
 
@@ -185,7 +186,9 @@ class LabelStore:
         self.topo = NodeTable.open(
             self.reader, TOPO_FILE, memory, fence=fences.get(TOPO_FILE)
         )
-        self.trace = TraceLedger()
+        # One span per batch flush for the life of the daemon: keep the
+        # recent ones for inspection and running totals for the rest.
+        self.trace = TraceLedger(window=SPAN_WINDOW)
         self.label_engine = BatchEngine(
             self.labels, LabelCache(cache_entries), trace=self.trace,
             name="scc-label",
@@ -293,7 +296,7 @@ class LabelStore:
             "physical_io": self.stats.snapshot().to_dict(),
             "scc_label": self.label_engine.hit_rate_report(),
             "topo_order": self.topo_engine.hit_rate_report(),
-            "spans": len(self.trace.spans),
+            "spans": self.trace.recorded,
         }
 
     def close(self) -> None:

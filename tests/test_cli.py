@@ -330,6 +330,25 @@ class TestInputValidation:
                      "--checkpoint-dir", str(tmp_path / "ckpt")]) == 2
         assert "outside --nodes 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scc", "serve"])
+    def test_id_beyond_int64_on_a_persistent_device(self, tmp_path, capsys,
+                                                    command):
+        # The persistent device stores int64 fields; a wider id is one
+        # storage error line (exit 3), not a struct.error traceback.
+        path = tmp_path / "wide.txt"
+        write_edge_text(path, [(0, 1), (1, 2**63), (2**63, 0)])
+        if command == "serve":
+            argv = ["serve", str(tmp_path / "store"), "--build", str(path),
+                    "--build-only"]
+        else:
+            argv = ["scc", str(path), "-m", "16K", "-o",
+                    str(tmp_path / "labels.txt"),
+                    "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: file ")
+        assert "9223372036854775808 does not fit" in err[0]
+
     @pytest.mark.parametrize("command", ["scc", "bench"])
     def test_negative_nodes_is_usage_error(self, two_cycle, capsys, command):
         with pytest.raises(SystemExit) as excinfo:

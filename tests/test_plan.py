@@ -31,6 +31,7 @@ from repro.plan import (
     PlanExecutor,
     Rewrite,
     Scan,
+    Span,
     TraceLedger,
 )
 from repro.semi_external import (
@@ -265,6 +266,23 @@ class TestTraceLedger:
         assert sum(p["measured"] for p in phases.values()) == out.trace.total_measured
         rendered = out.trace.render()
         assert "TOTAL" in rendered and "contract-1" in rendered
+
+    def test_window_keeps_recent_spans_and_running_totals(self):
+        def span(i, phase):
+            return Span(plan="service", stage=f"s#{i}", phase=phase,
+                        operators=(), predicted_ios=i, reads=i, writes=1,
+                        random_ios=0, records=0, bytes_stored=0, makespan=i,
+                        wall_seconds=0.5)
+
+        full, windowed = TraceLedger(), TraceLedger(window=3)
+        for i in range(10):
+            for ledger in (full, windowed):
+                ledger.record(span(i, "query/a" if i % 2 else "query/b"))
+        assert [s.stage for s in windowed.spans] == ["s#7", "s#8", "s#9"]
+        assert windowed.recorded == full.recorded == len(full.spans) == 10
+        assert windowed.by_phase() == full.by_phase()
+        assert windowed.total_measured == full.total_measured == 55
+        assert windowed.total_predicted == full.total_predicted == 45
 
     def test_json_round_trip(self):
         out = run_pipeline(config=ExtSCCConfig.optimized())

@@ -6,6 +6,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -28,7 +29,13 @@ from repro.service import (
     TenantSession,
     build_store,
 )
-from repro.service.store import COND_EDGES_FILE, LABELS_FILE, META_NAME, TOPO_FILE
+from repro.service.store import (
+    COND_EDGES_FILE,
+    LABELS_FILE,
+    META_NAME,
+    SPAN_WINDOW,
+    TOPO_FILE,
+)
 
 
 # Two 3-cycles chained through a DAG edge, plus a 2-path and an isolate:
@@ -174,6 +181,28 @@ class TestBatchedIO:
         spans = store.trace.spans[before:]
         assert spans and spans[0].phase == "query/scc-label"
         assert spans[0].reads >= 1
+
+    def test_span_memory_stays_flat_over_50k_flushes(self, store):
+        # The daemon flushes for as long as it runs: its trace keeps a
+        # bounded window of spans plus running totals, never every span.
+        engine = store.label_engine
+        entry = [(None, [0, 5])]
+        tracemalloc.start()
+        try:
+            # Fill the window first, so its spans are traced both times.
+            for _ in range(SPAN_WINDOW):
+                engine.flush(entry)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50_000):
+                engine.flush(entry)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # Unbounded, 50k spans held ~22 MB (~450 B each).
+        assert grown < 64 * 1024, grown
+        assert len(store.trace.spans) == SPAN_WINDOW
+        assert store.trace.spans[-1].stage == f"scc-label#{engine.flushes}"
+        assert store.server_stats()["spans"] == 50_000 + SPAN_WINDOW
 
     def test_throttled_entry_does_not_block_batch_peers(self, store_dir):
         with LabelStore(store_dir, cache_entries=0) as store:
