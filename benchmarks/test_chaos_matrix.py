@@ -1,21 +1,26 @@
 """Chaos matrix — fault type × pipeline phase on the Fig. 6 smoke point,
-with parity striping (K=2) and the default retry policy.
+with the default retry policy.
 
 Every cell injects exactly one scheduled fault into a full Ext-SCC-Op run
 and gates on the fault-tolerance contract:
 
-* **Label identity** — the faulted run's SCC labels are byte-identical to
-  the fault-free run's.
-* **Ledger isolation** — every algorithm phase charges exactly the I/Os
-  of the fault-free run; the ``retry`` / ``repair`` fault labels are the
-  entire total-ledger delta.
-* **Zero-cost-when-armed** — with the policy attached and parity on but
-  no fault firing, the run charges 0 extra block I/Os and reproduces the
-  unarmed ledger exactly.
+* **Transient faults** (``transient-read`` / ``transient-write``) are
+  absorbed by the retry policy: the run's SCC labels are byte-identical
+  to the fault-free run's, every algorithm phase charges exactly the I/Os
+  of the fault-free run, and the ``retry`` label is the entire
+  total-ledger delta.
+* **Corrupt blocks** have no in-flight answer — the device keeps no
+  redundancy.  The checkpointed run stops with ``CorruptBlockError`` (the
+  CLI's exit 4); a damaged input is re-staged from its source, and
+  resuming from the journal reproduces the fault-free labels.
+* **Zero-cost-when-armed** — with the policy attached but no fault
+  firing, the run charges 0 extra block I/Os and reproduces the unarmed
+  ledger exactly.
 """
 
-from dataclasses import replace
+import json
 
+import pytest
 from conftest import RESULTS_DIR
 
 from repro.bench import (
@@ -26,23 +31,18 @@ from repro.bench import (
     webspam_graph,
 )
 from repro.core import ExtSCC, ExtSCCConfig
+from repro.exceptions import CheckpointError, CorruptBlockError
 from repro.graph.edge_file import EdgeFile, NodeFile
+from repro.io.blocks import BlockDevice
+from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import StripedDevice
 from repro.io.stats import FAULT_PHASES, IOSnapshot
-from repro.recovery import FaultPolicy, FaultSchedule
+from repro.recovery import CheckpointManager, FaultPolicy, FaultSchedule
 
 MEMORY_RATIO = 0.47  # the paper's default memory point (Fig. 6)
 SIZE_PERCENT = 20    # the smoke subsample every CI gate uses
-CHANNELS = 2
 
-FAULT_KINDS = (
-    "transient-read",
-    "transient-write",
-    "corrupt",
-    "channel-outage",
-    "worker-die",
-)
+FAULT_KINDS = ("transient-read", "transient-write", "corrupt")
 PHASES = ("contract-1", "semi-scc", "expand-1")
 
 POLICY = FaultPolicy(max_retries=6, seed=20240808)
@@ -54,27 +54,63 @@ def _workload():
     return edges, graph.num_nodes, memory_for_ratio(graph.num_nodes, MEMORY_RATIO)
 
 
+def _load(device, edges, num_nodes, memory):
+    edge_file = EdgeFile.from_edges(device, "edges", edges)
+    node_file = NodeFile.from_ids(device, "nodes", range(num_nodes), memory,
+                                  presorted=True)
+    return edge_file, node_file
+
+
 def _run(edges, num_nodes, memory_bytes, schedule=None, policy=None):
-    device = StripedDevice(block_size=BLOCK_SIZE, channels=CHANNELS, parity=True)
+    device = BlockDevice(block_size=BLOCK_SIZE)
     if policy is not None:
         device.attach_policy(policy)
     if schedule is not None:
         schedule.attach(device)
     memory = MemoryBudget(memory_bytes)
-    edge_file = EdgeFile.from_edges(device, "edges", edges)
-    node_file = NodeFile.from_ids(device, "nodes", range(num_nodes), memory,
-                                  presorted=True)
-    config = replace(ExtSCCConfig.optimized(), workers=CHANNELS)
-    out = ExtSCC(config).run(device, edge_file, memory, nodes=node_file)
+    edge_file, node_file = _load(device, edges, num_nodes, memory)
+    out = ExtSCC(ExtSCCConfig.optimized()).run(device, edge_file, memory,
+                                               nodes=node_file)
     return out, device
 
 
-def _schedule(kind, phase):
-    if kind == "worker-die":
-        return FaultSchedule.single(kind, in_phase=phase)
-    if kind in ("transient-read", "transient-write"):
-        return FaultSchedule.single(kind, in_phase=phase, failures=2)
-    return FaultSchedule.single(kind, in_phase=phase)
+def _corrupt_then_resume(edges, num_nodes, memory_bytes, schedule):
+    """A checkpointed run that must stop on the corrupt block, then the
+    journal resume as ``scc --resume`` does it: a resume that finds a
+    damaged input re-stages it from the source lists and resumes again.
+    Returns (resumed output, device, re-staged names)."""
+    device = BlockDevice(block_size=BLOCK_SIZE)
+    device.attach_policy(POLICY)
+    schedule.attach(device)
+    memory = MemoryBudget(memory_bytes)
+    edge_file, node_file = _load(device, edges, num_nodes, memory)
+    manager = CheckpointManager(device)
+    solver = ExtSCC(ExtSCCConfig.optimized())
+    with pytest.raises(CorruptBlockError):
+        solver.run(device, edge_file, memory, nodes=node_file,
+                   checkpoint=manager)
+
+    def resume():
+        return solver.run(
+            device,
+            EdgeFile(ExternalFile.open(device, "edges")),
+            memory,
+            nodes=NodeFile(ExternalFile.open(device, "nodes")),
+            checkpoint=manager,
+        )
+
+    try:
+        return resume(), device, []
+    except CheckpointError:
+        restaged = manager.damaged_inputs()
+    for name in restaged:
+        device.delete(name)
+    if "edges" in restaged:
+        EdgeFile.from_edges(device, "edges", edges)
+    if "nodes" in restaged:
+        NodeFile.from_ids(device, "nodes", range(num_nodes), memory,
+                          presorted=True)
+    return resume(), device, restaged
 
 
 def _phase_ledgers_match(clean_dev, faulty_dev):
@@ -102,69 +138,68 @@ def _measure():
     assert armed_dev.stats.by_phase == plain_dev.stats.by_phase
     assert armed_dev.stats.fault_total() == 0
     rows.append({
-        "fault": "(none)", "phase": "-",
-        "fired": False, "extra_io": 0, "retry_io": 0, "repair_io": 0,
+        "fault": "(none)", "phase": "-", "fired": False, "outcome": "ok",
+        "extra_io": 0, "retry_io": 0, "recovery_io": 0, "restaged": [],
         "health": armed_dev.stats.health.snapshot(),
     })
 
     for kind in FAULT_KINDS:
         for phase in PHASES:
-            schedule = _schedule(kind, phase)
-            out, device = _run(edges, num_nodes, memory_bytes,
-                               schedule=schedule, policy=POLICY)
             cell = f"{kind}@{phase}"
-
-            # Gate 1: label identity.
-            assert out.result.labels == plain_out.result.labels, cell
-
-            # Gate 2: every algorithm phase charged identically; the
-            # fault labels are the entire delta.
-            match, bad = _phase_ledgers_match(plain_dev, device)
-            assert match, f"{cell}: phase {bad!r} ledger diverged"
-            extra = device.stats.total - plain_dev.stats.total
-            assert extra == device.stats.fault_total(), cell
-            if not schedule.fired:
-                assert extra == 0, cell
-
-            # Worker faults are ledger-neutral by design: the replay
-            # charges exactly what the first dispatch would have.
-            if kind == "worker-die" and schedule.fired:
-                assert extra == 0, cell
-                assert device.stats.health.redispatches >= 1, cell
-
+            if kind == "corrupt":
+                schedule = FaultSchedule.single(kind, in_phase=phase)
+                out, device, restaged = _corrupt_then_resume(
+                    edges, num_nodes, memory_bytes, schedule
+                )
+                # Gate: the journal resume reproduces the fault-free labels.
+                assert out.resumed, cell
+                assert out.result.labels == plain_out.result.labels, cell
+                outcome = "exit 4, resumed"
+            else:
+                schedule = FaultSchedule.single(kind, in_phase=phase,
+                                                failures=2)
+                out, device = _run(edges, num_nodes, memory_bytes,
+                                   schedule=schedule, policy=POLICY)
+                restaged = []
+                # Gate 1: label identity.
+                assert out.result.labels == plain_out.result.labels, cell
+                # Gate 2: every algorithm phase charged identically; the
+                # fault label is the entire delta.
+                match, bad = _phase_ledgers_match(plain_dev, device)
+                assert match, f"{cell}: phase {bad!r} ledger diverged"
+                assert device.stats.total - plain_dev.stats.total == \
+                    device.stats.fault_total(), cell
+                outcome = "survived"
+            assert schedule.fired, cell
             rows.append({
                 "fault": kind, "phase": phase,
-                "fired": bool(schedule.fired), "extra_io": extra,
+                "fired": bool(schedule.fired), "outcome": outcome,
+                "extra_io": device.stats.total - plain_dev.stats.total,
                 "retry_io": device.stats.phase_total("retry"),
-                "repair_io": device.stats.phase_total("repair"),
+                "recovery_io": device.stats.phase_total("recovery"),
+                "restaged": restaged,
                 "health": device.stats.health.snapshot(),
             })
-
-    fired = sum(1 for row in rows if row["fired"])
-    # The matrix must actually exercise the machinery, not pass vacuously.
-    assert fired >= len(PHASES) * 3, (
-        f"only {fired} matrix cells fired a fault"
-    )
     return rows
 
 
 def _render(rows):
     header = (
-        f"{'fault':<17} {'phase':<11} {'fired':<6} "
-        f"{'extra':>6} {'retry':>6} {'repair':>7}  health"
+        f"{'fault':<17} {'phase':<11} {'fired':<6} {'outcome':<16} "
+        f"{'extra':>6} {'retry':>6} {'recov':>6}  health"
     )
     lines = ["chaos matrix — single injected fault per full run", header,
              "-" * len(header)]
     for row in rows:
         h = row["health"]
-        summary = (
-            f"retries={h['retries']} repairs={h['repairs']} "
-            f"redisp={h['redispatches']} backoff={h['backoff_seconds']:.4f}s"
-        )
+        summary = f"retries={h['retries']} backoff={h['backoff_seconds']:.4f}s"
+        if row["restaged"]:
+            summary += f" restaged={','.join(row['restaged'])}"
         lines.append(
             f"{row['fault']:<17} {row['phase']:<11} "
-            f"{str(row['fired']):<6} {row['extra_io']:>6} {row['retry_io']:>6} "
-            f"{row['repair_io']:>7}  {summary}"
+            f"{str(row['fired']):<6} {row['outcome']:<16} "
+            f"{row['extra_io']:>6} {row['retry_io']:>6} "
+            f"{row['recovery_io']:>6}  {summary}"
         )
     return "\n".join(lines) + "\n"
 
@@ -176,17 +211,12 @@ def test_chaos_matrix(benchmark):
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "chaos_matrix.txt").write_text(text)
-
-    import json
-
     (RESULTS_DIR / "chaos_matrix.json").write_text(json.dumps(rows, indent=1))
 
-    # Representative shapes: transient faults show retry traffic,
-    # corruption shows repair traffic, worker faults stay ledger-neutral.
+    # Representative shapes: transient faults show retry traffic and
+    # corrupt cells all went through a journal resume.
     by_kind = {}
     for row in rows:
-        if row["fired"]:
-            by_kind.setdefault(row["fault"], []).append(row)
-    assert any(r["retry_io"] > 0 for r in by_kind.get("transient-read", []))
-    assert any(r["repair_io"] > 0 for r in by_kind.get("corrupt", []))
-    assert all(r["extra_io"] == 0 for r in by_kind.get("worker-die", []))
+        by_kind.setdefault(row["fault"], []).append(row)
+    assert all(r["retry_io"] > 0 for r in by_kind["transient-read"])
+    assert all(r["outcome"] == "exit 4, resumed" for r in by_kind["corrupt"])

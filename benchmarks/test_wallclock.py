@@ -1,12 +1,10 @@
-"""Wall-clock invariance: the Fig. 6 smoke point under every execution
-configuration.
+"""Wall-clock invariance: the Fig. 6 smoke point is deterministic.
 
-The one execution knob left — the worker count K — is a *pure*
-wall-clock knob: at every codec × K combination the smoke run's simulated
-ledger and its answer are exactly the K=1 run's.  That identity is gated
-exactly.  Wall time itself is measured by ``benchmarks/perf``;
-``BENCH_wallclock.json`` is the frozen history of the earlier
-scalar-vs-batch comparison.
+There is one execution path, so at every codec a repeat of the smoke run
+reproduces the first run's simulated ledger and answer exactly; only wall
+time may move.  That identity is gated exactly.  Wall time itself is
+measured by ``benchmarks/perf``; ``BENCH_wallclock.json`` is the frozen
+history of the earlier scalar-vs-batch comparison.
 """
 
 from repro.bench import (
@@ -23,7 +21,7 @@ MEMORY_RATIO = 0.47  # Fig. 6 default memory
 SMOKE_PCT = 20
 
 MATRIX_CODECS = ("gap-varint", "varint", "fixed")
-MATRIX_WORKERS = (1, 2, 4, 8)
+REPEATS = 2
 
 
 def _smoke_point():
@@ -34,8 +32,8 @@ def _smoke_point():
 
 
 def _fingerprint(run):
-    """Everything the simulation promises is execution-strategy-invariant
-    (not wall seconds, not makespan/channel_io, which depend on K)."""
+    """Everything the simulation promises is run-invariant (not wall
+    seconds)."""
     return {
         "status": run.status,
         "io_total": run.io_total,
@@ -51,27 +49,24 @@ def _fingerprint(run):
     }
 
 
-def _run_smoke(edges, n, memory, *, codec, workers=1):
+def _run_smoke(edges, n, memory, *, codec):
     return run_algorithm("Ext-SCC-Op", edges, n, memory,
                          block_size=BLOCK_SIZE, x=SMOKE_PCT,
-                         config=ExtSCCConfig.optimized(codec=codec),
-                         workers=workers)
+                         config=ExtSCCConfig.optimized(codec=codec))
 
 
 def test_wallclock_invariance_matrix(benchmark):
-    """Exact ledger identity at every codec × K against the K=1 run."""
+    """Exact ledger identity at every codec across repeated runs."""
     edges, n, memory = _smoke_point()
 
     def run_matrix():
         mismatches = []
         for codec in MATRIX_CODECS:
             reference = _fingerprint(_run_smoke(edges, n, memory, codec=codec))
-            for workers in MATRIX_WORKERS:
-                run = _run_smoke(edges, n, memory, codec=codec,
-                                 workers=workers)
-                if _fingerprint(run) != reference:
-                    mismatches.append((codec, workers, _fingerprint(run),
-                                       reference))
+            for repeat in range(1, REPEATS):
+                run = _fingerprint(_run_smoke(edges, n, memory, codec=codec))
+                if run != reference:
+                    mismatches.append((codec, repeat, run, reference))
         return mismatches
 
     mismatches = benchmark.pedantic(run_matrix, rounds=1, iterations=1)

@@ -75,10 +75,9 @@ class CostModel:
         """Blocks occupied by ``records`` records (at the stored width)."""
         return math.ceil(max(0, records) * self.stored_width(record_size) / self.block_size)
 
-    def scan(self, records: int, record_size: int, workers: int = 1) -> int:
-        """``scan(m)``: one sequential pass (busiest-channel share when
-        striped over ``workers`` channels)."""
-        return self.parallel(self.blocks(records, record_size), workers)
+    def scan(self, records: int, record_size: int) -> int:
+        """``scan(m)``: one sequential pass."""
+        return self.blocks(records, record_size)
 
     def expected_runs(self, records: int, record_size: int) -> int:
         """Expected initial run count under replacement selection.
@@ -92,7 +91,7 @@ class CostModel:
             return 1
         return max(2, math.ceil(records / (2 * run_records)))
 
-    def sort(self, records: int, record_size: int, workers: int = 1) -> int:
+    def sort(self, records: int, record_size: int) -> int:
         """``sort(m)``: run formation writes + merge passes (reads+writes).
 
         Matches :func:`repro.io.sort.external_sort_records` with
@@ -100,10 +99,6 @@ class CostModel:
         merge fan-in ``M/B - 1``, one final merge producing the output
         file — except the single-run case, where the run file is renamed
         into the output and the final merge costs nothing.
-
-        When striped over ``workers`` channels, each pass — formation and
-        every merge level — is a barrier (the next level reads what this
-        one wrote), so each contributes its own busiest-channel share.
         """
         if records <= 0:
             return 0
@@ -111,14 +106,13 @@ class CostModel:
         runs = self.expected_runs(records, record_size)
         if runs == 1:
             # single-run shortcut: formation writes, then a free rename.
-            return self.parallel(nblocks, workers)
+            return nblocks
         fan_in = max(2, self.memory_bytes // self.block_size - 1)
         levels = math.ceil(math.log(runs, fan_in)) or 1
         # run formation writes + each level reads and writes every block.
-        return (1 + 2 * levels) * self.parallel(nblocks, workers)
+        return (1 + 2 * levels) * nblocks
 
-    def sort_streamed(self, records: int, record_size: int,
-                      workers: int = 1) -> int:
+    def sort_streamed(self, records: int, record_size: int) -> int:
         """``sort(m)`` when the final merge streams into a consumer
         (:func:`repro.io.sort.external_sort_stream`): the output is never
         written, so a fused boundary costs one read of the run files in
@@ -131,117 +125,57 @@ class CostModel:
         fan_in = max(2, self.memory_bytes // self.block_size - 1)
         levels = 1 if runs <= 1 else (math.ceil(math.log(runs, fan_in)) or 1)
         # formation writes + intermediate passes + the final streaming read.
-        return (2 * levels) * self.parallel(nblocks, workers)
+        return (2 * levels) * nblocks
 
     # -- pipeline phases -------------------------------------------------------
 
     def get_v(self, num_nodes: int, num_edges: int,
-              product_operator: bool = False, workers: int = 1) -> int:
+              product_operator: bool = False) -> int:
         """Theorem 5.1 instantiated: Get-V's sorts and scans."""
         e, v = num_edges, num_nodes
-        k = workers
         ed_width = EDGE_RECORD_BYTES + (8 if product_operator else 4)
-        cost = 2 * self.sort(e, EDGE_RECORD_BYTES, k)        # E_in, E_out
-        cost += 2 * self.scan(e, EDGE_RECORD_BYTES, k)       # degree co-scan
-        cost += self.scan(v, 12 if product_operator else 8, k)  # V_d write
-        cost += self.scan(e, ed_width, k)                    # E_d build
-        cost += self.sort_streamed(e, ed_width, k)           # E_d resort (fused)
-        cost += self.sort(e, NODE_RECORD_BYTES, k)           # cover sort+dedupe
+        cost = 2 * self.sort(e, EDGE_RECORD_BYTES)        # E_in, E_out
+        cost += 2 * self.scan(e, EDGE_RECORD_BYTES)       # degree co-scan
+        cost += self.scan(v, 12 if product_operator else 8)  # V_d write
+        cost += self.scan(e, ed_width)                    # E_d build
+        cost += self.sort_streamed(e, ed_width)           # E_d resort (fused)
+        cost += self.sort(e, NODE_RECORD_BYTES)           # cover sort+dedupe
         return cost
 
-    def get_e(self, num_edges: int, next_nodes: int, next_edges: int,
-              workers: int = 1) -> int:
+    def get_e(self, num_edges: int, next_nodes: int, next_edges: int) -> int:
         """Theorem 5.2 instantiated: Get-E's joins and the E_pre sort."""
-        k = workers
-        cost = 2 * self.scan(num_edges, EDGE_RECORD_BYTES, k)   # E_del co-scans
-        cost += self.sort_streamed(num_edges, EDGE_RECORD_BYTES, k)  # E_pre (fused)
-        cost += self.scan(next_nodes, NODE_RECORD_BYTES, k)     # cover scans
-        cost += self.scan(next_edges, EDGE_RECORD_BYTES, k)     # E_{i+1} write
+        cost = 2 * self.scan(num_edges, EDGE_RECORD_BYTES)   # E_del co-scans
+        cost += self.sort_streamed(num_edges, EDGE_RECORD_BYTES)  # E_pre (fused)
+        cost += self.scan(next_nodes, NODE_RECORD_BYTES)     # cover scans
+        cost += self.scan(next_edges, EDGE_RECORD_BYTES)     # E_{i+1} write
         return cost
 
     def contraction_iteration(self, record: IterationRecord,
-                              product_operator: bool = False,
-                              workers: int = 1) -> int:
+                              product_operator: bool = False) -> int:
         """Predicted blocks for one full contraction iteration."""
         return (
-            self.get_v(record.num_nodes, record.num_edges, product_operator,
-                       workers)
+            self.get_v(record.num_nodes, record.num_edges, product_operator)
             + self.get_e(record.num_edges, record.next_num_nodes,
-                         record.next_num_edges, workers)
+                         record.next_num_edges)
         )
 
-    def expansion_iteration(self, record: IterationRecord,
-                            workers: int = 1) -> int:
+    def expansion_iteration(self, record: IterationRecord) -> int:
         """Theorem 6.1 instantiated: two augments + the label merge."""
         e, v = record.num_edges, record.num_nodes
-        k = workers
         per_augment = (
-            self.sort_streamed(e, EDGE_RECORD_BYTES, k)   # by destination (fused)
-            + self.sort_streamed(e, EDGE_RECORD_BYTES, k) # by source (fused)
-            + self.scan(v, SCC_RECORD_BYTES, k)           # label merge join
-            + self.sort(e, AUGMENTED_EDGE_BYTES, k)       # (v, SCC, u) grouping
+            self.sort_streamed(e, EDGE_RECORD_BYTES)   # by destination (fused)
+            + self.sort_streamed(e, EDGE_RECORD_BYTES) # by source (fused)
+            + self.scan(v, SCC_RECORD_BYTES)           # label merge join
+            + self.sort(e, AUGMENTED_EDGE_BYTES)       # (v, SCC, u) grouping
         )
         # The reverse-graph augment flips edges in-flight; no reversed copy.
-        labels = 2 * self.scan(v, SCC_RECORD_BYTES, k)  # SCC_del + merged SCC_i
+        labels = 2 * self.scan(v, SCC_RECORD_BYTES)  # SCC_del + merged SCC_i
         return 2 * per_augment + labels
 
-    def semi_scc(self, num_edges: int, passes: int, workers: int = 1) -> int:
+    def semi_scc(self, num_edges: int, passes: int) -> int:
         """Semi-SCC: ``passes`` sequential scans of the edge file plus the
         label write-back."""
-        return passes * self.scan(num_edges, EDGE_RECORD_BYTES, workers)
-
-    # -- parallel / makespan ---------------------------------------------------
-
-    def parallel(self, blocks: int, workers: int) -> int:
-        """Critical-path blocks of ``blocks`` striped over ``workers``
-        channels: round-robin placement splits any contiguous range to
-        within one block of even, so the busiest channel carries
-        ``ceil(blocks / K)``."""
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        return math.ceil(max(0, blocks) / workers)
-
-    def scan_parallel(self, records: int, record_size: int, workers: int) -> int:
-        """``scan(m)`` on ``workers`` channels: per-channel critical path."""
-        return self.parallel(self.scan(records, record_size), workers)
-
-    def sort_parallel(self, records: int, record_size: int, workers: int) -> int:
-        """``sort(m)`` on ``workers`` channels.  Every pass of the sort —
-        run formation and each merge level — reads and writes blocks
-        striped over all channels, so the whole sort parallelizes at the
-        same ``1/K`` factor as a scan."""
-        return self.parallel(self.sort(records, record_size), workers)
-
-    def ext_scc_makespan(
-        self,
-        iterations: Iterable[IterationRecord],
-        workers: int,
-        semi_passes: int = 3,
-        product_operator: bool = False,
-    ) -> int:
-        """Predicted critical-path blocks for a striped Ext-SCC run.
-
-        Mirrors :class:`~repro.io.parallel.MakespanMeter`, but at
-        *operator* granularity: every sort pass and scan in the pipeline
-        is a barrier (the consumer reads what the producer wrote), so each
-        contributes its own busiest-channel share ``ceil(op_blocks / K)``
-        under round-robin striping.  Summing those — rather than dividing
-        the grand total by ``K`` — is what keeps the prediction honest at
-        high ``K``, where dozens of short operators each leave a partly
-        idle stripe and the per-operator remainders dominate.
-        """
-        records = list(iterations)
-        makespan = 0
-        final_edges = 0
-        for record in records:
-            makespan += self.contraction_iteration(
-                record, product_operator, workers
-            )
-            final_edges = record.next_num_edges
-        makespan += self.semi_scc(final_edges, semi_passes, workers)
-        for record in records:
-            makespan += self.expansion_iteration(record, workers)
-        return makespan
+        return passes * self.scan(num_edges, EDGE_RECORD_BYTES)
 
     def ext_scc(
         self,

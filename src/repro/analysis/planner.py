@@ -139,7 +139,7 @@ def _op_cost(model: CostModel, op) -> int:
 
 
 def predict_plan(plan: ExtPlan, model: CostModel) -> int:
-    """Fill every operator's ``predicted_ios`` / ``predicted_makespan``.
+    """Fill every operator's ``predicted_ios``.
 
     Free operators (in-flight transforms, fused co-scans) keep
     ``predicted_ios=None`` and render as ``-``; elided operators predict
@@ -152,10 +152,8 @@ def predict_plan(plan: ExtPlan, model: CostModel) -> int:
     for op in plan.ops:
         if op.elided or op.cost[0] == "free":
             op.predicted_ios = None
-            op.predicted_makespan = None
             continue
         op.predicted_ios = _op_cost(model, op)
-        op.predicted_makespan = model.parallel(op.predicted_ios, op.workers)
     return plan.total_predicted
 
 
@@ -175,10 +173,6 @@ def optimize_plan(plan: ExtPlan, model: CostModel, config: ExtSCCConfig) -> ExtP
        ``config.codec``; a model given ``bytes_per_record`` then prices
        its blocks at the measured stored width
        (:meth:`CostModel.stored_width`).
-    3. **Worker sharding** (PR 4): with ``config.workers > 1`` every
-       priced operator is tagged with the shard width ``K`` and gets a
-       busiest-channel ``predicted_makespan`` of ``ceil(blocks/K)``
-       (totals are unchanged — sharding only redistributes I/O).
 
     Finishes with :func:`predict_plan`.  Returns ``plan`` (mutated).
     """
@@ -209,12 +203,6 @@ def optimize_plan(plan: ExtPlan, model: CostModel, config: ExtSCCConfig) -> ExtP
             tagged = True
     if tagged:
         plan.rewrites.append(f"codec={config.codec}")
-    # -- 3. sharding -------------------------------------------------------
-    if config.workers > 1:
-        for op in plan.ops:
-            if op.cost[0] != "free" and not op.elided:
-                op.workers = config.workers
-        plan.rewrites.append(f"shard(K={config.workers})")
     predict_plan(plan, model)
     return plan
 

@@ -9,7 +9,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import (
     ascii_chart,
-    format_scaling_table,
     format_sweep,
     format_trace,
     print_sweep,
@@ -44,7 +43,6 @@ __all__ = [
     "run_algorithm",
     "run_sweep",
     "format_sweep",
-    "format_scaling_table",
     "format_trace",
     "ascii_chart",
     "print_sweep",

@@ -6,7 +6,7 @@ with INF/NONTERM statuses handled the way the paper's 24-hour cutoff is.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines import dfs_scc, em_scc
@@ -15,7 +15,6 @@ from repro.exceptions import InsufficientMemory, IOBudgetExceeded, NonTerminatio
 from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import MakespanMeter, StripedDevice
 from repro.io.stats import IOBudget
 from repro.plan import TraceLedger
 from repro.semi_external import spanning_tree_scc
@@ -55,14 +54,11 @@ class RunResult:
     width_profile: Dict[int, float] = field(default_factory=dict)
     # per-phase counters, plus the float "wall_seconds" measurement
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    workers: int = 1
-    makespan: int = 0
-    channel_io: List[int] = field(default_factory=list)
     trace: Dict[str, Dict[str, int]] = field(default_factory=dict)
     trace_predicted: int = 0
     trace_measured: int = 0
-    # fault-tolerance ledger delta of the run (retries, repairs,
-    # redispatches, parity writes, backoff seconds, degradation events)
+    # fault-tolerance ledger delta of the run (retries, escalations,
+    # backoff seconds, degradation events)
     # — all zeros/empty on a fault-free run
     health: Dict[str, object] = field(default_factory=dict)
 
@@ -70,14 +66,6 @@ class RunResult:
     def ok(self) -> bool:
         """True when the run finished within budget."""
         return self.status == STATUS_OK
-
-    @property
-    def parallel_speedup(self) -> float:
-        """``io_total / makespan`` — critical-path speedup of the striped
-        run (1.0 when unstriped, serial, or failed)."""
-        if not self.ok or not self.makespan:
-            return 1.0
-        return self.io_total / self.makespan
 
     @property
     def compression_ratio(self) -> float:
@@ -103,8 +91,6 @@ class RunResult:
             return f"{self.wall_seconds:.2f}s"
         if metric == "random":
             return f"{self.io_random:,}"
-        if metric == "makespan":
-            return f"{self.makespan:,}"
         raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -154,10 +140,8 @@ def run_algorithm(
     io_budget: Optional[int] = None,
     x: object = None,
     config: Optional[ExtSCCConfig] = None,
-    workers: int = 1,
     fault_policy: Optional["FaultPolicy"] = None,
     fault_schedule: Optional["FaultSchedule"] = None,
-    parity: bool = False,
 ) -> RunResult:
     """Run one algorithm on a fresh simulated disk.
 
@@ -170,37 +154,17 @@ def run_algorithm(
         block_size: the block size ``B``.
         io_budget: block-I/O cap; exceeding it reports ``INF``.
         x: the sweep coordinate to record.
-        workers: shard/channel width ``K``.  ``K > 1`` runs on a
-            :class:`~repro.io.parallel.StripedDevice` with ``K`` channels
-            and threads ``workers`` into the Ext-SCC config, so the run
-            reports a makespan alongside the (unchanged) total ledger.
         fault_policy: retry/backoff policy for transient faults; the
             device default applies when ``None``.
         fault_schedule: deterministic fault injection schedule (chaos
             benchmarking); attached to the device before the input loads
             so fault ordinals are stable across runs.
-        parity: keep a RAID-5 parity channel on the striped device
-            (forces striping even for ``workers == 1``).
 
     Returns:
         A populated :class:`RunResult`.
     """
-    if config is not None:
-        runner = _run_ext(replace(config, workers=workers))
-    elif name in ("Ext-SCC", "Ext-SCC-Op") and workers > 1:
-        base = (
-            ExtSCCConfig.optimized() if name == "Ext-SCC-Op"
-            else ExtSCCConfig.baseline()
-        )
-        runner = _run_ext(replace(base, workers=workers))
-    else:
-        runner = ALGORITHMS[name]
-    if workers > 1 or parity:
-        device: BlockDevice = StripedDevice(
-            block_size=block_size, channels=max(workers, 1), parity=parity
-        )
-    else:
-        device = BlockDevice(block_size=block_size)
+    runner = _run_ext(config) if config is not None else ALGORITHMS[name]
+    device = BlockDevice(block_size=block_size)
     if fault_policy is not None:
         device.attach_policy(fault_policy)
     if fault_schedule is not None:
@@ -214,10 +178,9 @@ def run_algorithm(
         # The cutoff applies to the algorithm's work, not to loading the
         # input (the paper's 24h clock starts with the algorithm).
         device.stats.budget = IOBudget(device.stats.total + io_budget)
-    result = RunResult(algorithm=name, x=x, status=STATUS_OK, workers=workers)
+    result = RunResult(algorithm=name, x=x, status=STATUS_OK)
     start = time.perf_counter()
     baseline = device.stats.snapshot()
-    meter = MakespanMeter(device)  # same window as the io_total delta
     trace: Optional[TraceLedger] = None
     try:
         result.num_sccs, result.iterations, trace = runner(
@@ -230,8 +193,6 @@ def run_algorithm(
     except InsufficientMemory:
         result.status = STATUS_NOMEM
     result.wall_seconds = time.perf_counter() - start
-    result.makespan = meter.makespan()
-    result.channel_io = meter.channel_snapshot()
     delta = device.stats.snapshot() - baseline
     result.io_total = delta.total
     result.io_random = delta.random
@@ -322,7 +283,6 @@ def run_sweep(
     algorithms: Sequence[str],
     block_size: int = 1024,
     io_budget: Optional[int] = None,
-    workers: int = 1,
 ) -> Sweep:
     """Run every algorithm at every sweep point.
 
@@ -333,7 +293,6 @@ def run_sweep(
         algorithms: keys into :data:`ALGORITHMS`.
         block_size: the block size ``B``.
         io_budget: per-run I/O cap (the INF cutoff).
-        workers: shard/channel width ``K`` for every run.
     """
     sweep = Sweep(title=title, x_label=x_label)
     for x, edges, num_nodes, memory_bytes in points:
@@ -342,7 +301,6 @@ def run_sweep(
                 run_algorithm(
                     name, edges, num_nodes, memory_bytes,
                     block_size=block_size, io_budget=io_budget, x=x,
-                    workers=workers,
                 )
             )
     return sweep

@@ -11,7 +11,7 @@ from typing import List, Optional
 from repro.bench.harness import RunResult, Sweep
 
 __all__ = ["format_sweep", "print_sweep", "shape_summary", "ascii_chart",
-           "sweep_to_json", "format_phase_table", "format_scaling_table",
+           "sweep_to_json", "format_phase_table",
            "format_trace"]
 
 
@@ -82,7 +82,7 @@ def format_trace(run: RunResult) -> str:
     """
     if not run.trace:
         return ""
-    header = ["phase", "predicted", "measured", "delta", "makespan", "wall_s"]
+    header = ["phase", "predicted", "measured", "delta", "wall_s"]
     rows: List[List[str]] = [header]
 
     def _delta(predicted: int, measured: int) -> str:
@@ -97,7 +97,6 @@ def format_trace(run: RunResult) -> str:
             f"{bucket['predicted']:,}",
             f"{bucket['measured']:,}",
             _delta(bucket["predicted"], bucket["measured"]),
-            f"{bucket['makespan']:,}",
             f"{bucket.get('wall_seconds', 0.0):.3f}",
         ])
     rows.append([
@@ -105,7 +104,6 @@ def format_trace(run: RunResult) -> str:
         f"{run.trace_predicted:,}",
         f"{run.trace_measured:,}",
         _delta(run.trace_predicted, run.trace_measured),
-        "-",
         f"{run.wall_seconds:.3f}",
     ])
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
@@ -123,9 +121,8 @@ def format_sweep(sweep: Sweep, metric: str = "io") -> str:
     Args:
         sweep: the grid of runs.
         metric: ``"io"`` (block I/Os, the paper's "Number of I/Os" axis),
-            ``"time"`` (wall seconds, the paper's time axis), ``"random"``
-            (random block I/Os), or ``"makespan"`` (critical-path I/Os of
-            a striped run).
+            ``"time"`` (wall seconds, the paper's time axis), or
+            ``"random"`` (random block I/Os).
     """
     algorithms = sweep.algorithms
     header = [sweep.x_label] + algorithms
@@ -169,8 +166,6 @@ def ascii_chart(sweep: Sweep, metric: str = "io", width: int = 50) -> str:
             return run.wall_seconds
         if metric == "random":
             return float(run.io_random)
-        if metric == "makespan":
-            return float(run.makespan)
         raise ValueError(f"unknown metric {metric!r}")
 
     values = [v for run in sweep.runs if (v := value(run)) is not None and v > 0]
@@ -198,48 +193,14 @@ def ascii_chart(sweep: Sweep, metric: str = "io", width: int = 50) -> str:
     return "\n".join(lines[:-1])
 
 
-def format_scaling_table(runs: List[RunResult], title: str = "Worker scaling") -> str:
-    """The Fig. 6-style K-sweep summary: one row per worker count.
-
-    ``speedup`` is the K=1 *makespan* over this run's makespan (the
-    critical-path win of striping); ``efficiency`` is speedup over K.
-    ``io_total`` staying flat across rows is the ledger-identity invariant
-    — parallelism redistributes I/O, it never adds or removes any.
-    """
-    base = next((r for r in runs if r.workers == 1), runs[0] if runs else None)
-    header = ["workers", "io_total", "makespan", "speedup", "efficiency",
-              "wall_s"]
-    rows: List[List[str]] = [header]
-    for run in runs:
-        if run.ok and run.makespan and base is not None and base.makespan:
-            speedup = base.makespan / run.makespan
-            rows.append([
-                str(run.workers),
-                f"{run.io_total:,}",
-                f"{run.makespan:,}",
-                f"{speedup:.2f}x",
-                f"{speedup / run.workers:.2f}",
-                f"{run.wall_seconds:.3f}",
-            ])
-        else:
-            rows.append([str(run.workers), run.status, "-", "-", "-", "-"])
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = [title]
-    for index, row in enumerate(rows):
-        lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
-
-
 def sweep_to_json(sweep: Sweep, indent: Optional[int] = 1) -> str:
     """Serialize a sweep for external plotting tools.
 
     The schema is one record per run: algorithm, sweep coordinate, status,
     the three I/O counters, wall seconds, SCC count, iteration count, the
     payload-byte ledger (logical vs stored bytes, compression ratio,
-    stored bytes per record, and the per-width profile), sharding
-    (workers, makespan, per-channel I/O), and the trace totals.  Each
+    stored bytes per record, and the per-width profile), and the trace
+    totals.  Each
     record also carries the run's fault-health ledger (all zeros/empty on
     fault-free runs).
     """
@@ -264,10 +225,6 @@ def sweep_to_json(sweep: Sweep, indent: Optional[int] = 1) -> str:
                 "bytes_stored": run.bytes_stored,
                 "compression_ratio": run.compression_ratio,
                 "bytes_per_record": run.bytes_per_record,
-                "workers": run.workers,
-                "makespan": run.makespan,
-                "parallel_speedup": run.parallel_speedup,
-                "channel_io": run.channel_io,
                 "width_profile": {
                     str(width): per_record
                     for width, per_record in sorted(run.width_profile.items())

@@ -29,6 +29,7 @@ from typing import List, Optional
 from repro.bench.harness import ALGORITHMS, run_algorithm
 from repro.core import ExtSCCConfig, compute_sccs
 from repro.exceptions import (
+    CheckpointError,
     CorruptBlockError,
     InputFormatError,
     ReproError,
@@ -37,6 +38,7 @@ from repro.exceptions import (
 )
 from repro.graph.datasets import build_dataset
 from repro.graph.io_formats import read_edge_binary, read_edge_text, write_edge_binary, write_edge_text
+from repro.io.stats import RECOVERY_PHASE
 from repro.recovery.policy import FaultPolicy
 from repro.semi_external import SEMI_SCC_SOLVERS
 
@@ -96,20 +98,6 @@ def _block_size(text: str) -> int:
     return size
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type for ``--workers``: rejects 0 and negatives up front
-    (``--workers 0`` used to be silently accepted and run serial)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer (shard width K >= 1), got {value}"
-        )
-    return value
-
-
 def _fault_policy(text: str) -> FaultPolicy:
     """Argparse type for ``--fault-policy``: ``key=value`` pairs, e.g.
     ``retries=5,backoff=0.002,deadline=1.0`` (see
@@ -147,7 +135,10 @@ def _run_checkpointed(args: argparse.Namespace, config, on_iteration):
     """Run ``scc`` against a persistent device directory with journaling.
 
     A fresh run wipes the directory and loads the input; ``--resume``
-    reuses the stored input and continues from the journal.
+    reuses the stored input and continues from the journal.  The journal
+    can rebuild every intermediate, but every journal prefix needs the
+    input: when a resume finds a stored input damaged, it is re-staged
+    from the source file and the resume runs again.
     """
     from repro.core.ext_scc import ExtSCC
     from repro.graph.edge_file import EdgeFile, NodeFile
@@ -163,30 +154,54 @@ def _run_checkpointed(args: argparse.Namespace, config, on_iteration):
         device.attach_policy(args.fault_policy)
     memory = MemoryBudget(parse_size(args.memory))
     manager = CheckpointManager(device)
-    if args.resume and device.exists("input-edges"):
+    solver = ExtSCC(config)
+
+    def run_stored():
         edge_file = EdgeFile(ExternalFile.open(device, "input-edges"))
         node_file = (
             NodeFile(ExternalFile.open(device, "input-nodes"))
             if device.exists("input-nodes") else None
         )
-    else:
+        return solver.run(device, edge_file, memory, nodes=node_file,
+                          on_iteration=on_iteration, checkpoint=manager)
+
+    if not (args.resume and device.exists("input-edges")):
         # Fresh start: clear any previous run's files and journal.
         for name in device.list_files():
             device.delete(name)
         manager.reset()
         edges = _load_edges(args.input, args.binary)
         num_nodes = _node_count(edges, args.nodes)
-        edge_file = EdgeFile.from_edges(device, "input-edges", edges)
-        node_file = None
+        EdgeFile.from_edges(device, "input-edges", edges)
         if num_nodes is not None:
-            node_file = NodeFile.from_ids(
+            NodeFile.from_ids(
                 device, "input-nodes", range(num_nodes), memory, presorted=True
             )
     try:
-        return device, ExtSCC(config).run(
-            device, edge_file, memory, nodes=node_file,
-            on_iteration=on_iteration, checkpoint=manager,
-        )
+        try:
+            return device, run_stored()
+        except CheckpointError:
+            damaged = manager.damaged_inputs() if args.resume else []
+            if not damaged:
+                raise
+            edges = _load_edges(args.input, args.binary)
+            for name in damaged:
+                if device.exists(name):
+                    device.delete(name)
+                if name == "input-edges":
+                    EdgeFile.from_edges(device, name, edges)
+                else:
+                    # Nodes 0..N-1 need the run's --nodes N; without it
+                    # the empty file fails validation and the resume
+                    # stops with one CheckpointError line.
+                    NodeFile.from_ids(
+                        device, name,
+                        range(_node_count(edges, args.nodes) or 0),
+                        memory, presorted=True,
+                    )
+                print(f"re-staged damaged {name} from {args.input}",
+                      file=sys.stderr)
+            return device, run_stored()
     except BaseException:
         device.sync()  # keep the journal durable for a later --resume
         raise
@@ -244,9 +259,6 @@ def _render_health(health: dict) -> str:
     """One ``scc -v`` / ``bench`` line for the fault-health ledger."""
     return (
         f"health: retries={health.get('retries', 0)} "
-        f"repairs={health.get('repairs', 0)} "
-        f"redispatches={health.get('redispatches', 0)} "
-        f"parity-writes={health.get('parity_writes', 0)} "
         f"escalations={health.get('escalations', 0)} "
         f"backoff={health.get('backoff_seconds', 0.0):.3f}s"
     )
@@ -259,19 +271,8 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         ExtSCCConfig.optimized() if args.algorithm == "ext-scc-op"
         else ExtSCCConfig.baseline()
     )
-    if args.workers > 1:
-        config = replace(config, workers=args.workers)
     if args.solver is not None:
         config = replace(config, semi_scc=args.solver)
-    if args.parity and args.checkpoint_dir:
-        print(
-            "error: --parity needs the in-memory striped device; the "
-            "persistent --checkpoint-dir device has no parity channel "
-            "(its durability story is the journal + checksums — use "
-            "--resume to recover instead)",
-            file=sys.stderr,
-        )
-        return 2
     if args.explain:
         return _explain_scc(args, config)
 
@@ -292,7 +293,8 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         if out.resumed:
             print(
                 f"resumed from checkpoint in {args.checkpoint_dir} "
-                f"(recovery: {out.recovery_io.total} block I/Os)",
+                f"(recovery: {device.stats.phase_total(RECOVERY_PHASE)} "
+                "block I/Os)",
                 file=sys.stderr,
             )
         edge_count = out.iterations[0].num_edges if out.iterations else None
@@ -307,7 +309,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
             config=config,
             on_iteration=progress if args.verbose else None,
             fault_policy=args.fault_policy,
-            parity=args.parity,
         )
     elapsed = time.perf_counter() - started
     result = out.result
@@ -333,16 +334,10 @@ def _cmd_scc(args: argparse.Namespace) -> int:
             f"wall by phase: {breakdown}  (run total {out.wall_seconds:.2f}s)",
             file=sys.stderr,
         )
-    if args.workers > 1:
-        print(
-            f"workers: {args.workers}  makespan: {out.makespan} block I/Os  "
-            f"speedup: {out.parallel_speedup:.2f}x",
-            file=sys.stderr,
-        )
     # The health line only appears when the machinery is in play — plain
     # verbose runs keep their exact pre-fault-tolerance output.
     if args.verbose and (
-        args.fault_policy is not None or args.parity
+        args.fault_policy is not None
         or any(v for v in out.health.values())
     ):
         print(_render_health(out.health), file=sys.stderr)
@@ -352,7 +347,6 @@ def _cmd_scc(args: argparse.Namespace) -> int:
         run_config = out.config
         context = {
             "codec": run_config.codec,
-            "workers": run_config.workers,
             "solver": run_config.semi_scc,
             "block_size": _block_size(args.block_size),
             "memory_bytes": parse_size(args.memory),
@@ -417,9 +411,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         memory_bytes=parse_size(args.memory),
         block_size=block_size,
         io_budget=args.io_budget,
-        workers=args.workers,
         fault_policy=args.fault_policy,
-        parity=args.parity,
     )
     print(
         f"{result.algorithm}: {result.status}  I/Os: {result.io_total} "
@@ -437,13 +429,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for label in top_phases
         )
         print(f"wall by phase: {breakdown}")
-    if args.workers > 1:
-        print(
-            f"workers: {result.workers}  makespan: {result.makespan} "
-            f"(speedup {result.parallel_speedup:.2f}x, per-channel "
-            f"{result.channel_io})"
-        )
-    if (args.fault_policy is not None or args.parity
+    if (args.fault_policy is not None
             or any(v for v in result.health.values())):
         print(_render_health(result.health))
         for event in result.health.get("events", ()):
@@ -662,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     scc.add_argument("--binary", action="store_true", help="input is packed <II")
     scc.add_argument("--verbose", "-v", action="store_true",
                      help="print per-iteration contraction progress")
-    scc.add_argument("--workers", type=_positive_int, default=1,
-                     help="shard/channel width K: stripe the simulated disk "
-                          "over K channels and shard sorts/scans K ways "
-                          "(same total I/O, reported makespan shrinks)")
     scc.add_argument("--explain", action="store_true",
                      help="print the optimized operator plan (per-operator "
                           "predicted I/Os) and the analytic schedule, then "
@@ -695,12 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "seed=7,deadline=1.0' "
                           "(default policy: 3 retries, exponential "
                           "backoff with deterministic jitter)")
-    scc.add_argument("--parity", action="store_true",
-                     help="keep a RAID-5-style XOR parity channel next to "
-                          "the data channels so a single channel outage "
-                          "or checksum-failed block is read-repaired in "
-                          "flight (in-memory striped device only; not "
-                          "compatible with --checkpoint-dir)")
     scc.set_defaults(func=_cmd_scc)
 
     gen = sub.add_parser("generate", help="generate a Table I / webspam dataset")
@@ -724,17 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--block-size", "-b", default="4K")
     bench.add_argument("--io-budget", type=int, default=None,
                        help="block-I/O cap; exceeded -> INF (exit 1)")
-    bench.add_argument("--workers", type=_positive_int, default=1,
-                       help="shard/channel width K for Ext-SCC runs")
     bench.add_argument("--binary", action="store_true")
     bench.add_argument("--fault-policy", type=_fault_policy, default=None,
                        metavar="SPEC",
                        help="retry/backoff policy for transient storage "
                             "faults (key=value pairs; see scc "
                             "--fault-policy)")
-    bench.add_argument("--parity", action="store_true",
-                       help="keep a RAID-5 parity channel on the striped "
-                            "device (forces striping even for K=1)")
     bench.set_defaults(func=_cmd_bench)
 
     stats = sub.add_parser("stats", help="degree/structure statistics")
@@ -831,25 +802,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             "retries exhausted: raise the budget (--fault-policy "
             "retries=N[,deadline=SECONDS]) or investigate the failing "
-            "channel; with --checkpoint-dir the journal is durable, so "
+            "device; with --checkpoint-dir the journal is durable, so "
             "rerunning with --resume continues from the last phase "
             "boundary",
             file=sys.stderr,
         )
         return 5
     except CorruptBlockError as exc:
-        # Exit 4: a block failed its checksum and could not be repaired.
+        # Exit 4: a block failed its checksum; the device keeps no
+        # redundancy, so the answer is the checkpoint journal.
         print(f"error: {exc}", file=sys.stderr)
         print(
-            "unrecoverable corrupt block: rerun with --parity to "
-            "read-repair single-block damage in flight, or restore from "
-            "a --checkpoint-dir journal with --resume",
+            "corrupt block: a run started with --checkpoint-dir continues "
+            "from its last durable phase boundary with --resume",
             file=sys.stderr,
         )
         return 4
     except StorageError as exc:
-        # Exit 3: storage-layer failure (missing file, capacity misuse,
-        # channel fault outside the retry machinery).
+        # Exit 3: storage-layer failure (missing file, capacity misuse).
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ReproError as exc:

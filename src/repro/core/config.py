@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
-from repro.exceptions import ReproError
 
 __all__ = ["ExtSCCConfig"]
 
@@ -65,18 +64,6 @@ class ExtSCCConfig:
             any :class:`~repro.io.stats.IOStats` counter.
         pool_coalesce_writes: blocks the file layer may buffer before a
             back-to-back flush (1 disables coalescing).
-        workers: shard width ``K`` for the partitionable operators (merge
-            passes, the degree co-scan, the expansion augments) and the
-            channel count of a
-            :class:`~repro.io.parallel.StripedDevice` in the benchmark
-            harness.  ``K=1`` is the exact serial pipeline; any ``K``
-            produces identical SCC labels and identical *total* ledgers —
-            sharding only redistributes I/O across channels.  Shards run
-            in submission order on the calling thread, so crash ordinals
-            and traces are deterministic at every ``K``.
-
-    Construction validates ``workers >= 1`` so programmatically built
-    configs fail fast at the library level rather than deep inside a run.
     """
 
     trim_type1: bool = False
@@ -93,13 +80,6 @@ class ExtSCCConfig:
     validate: bool = False
     pool_readahead: int = 8
     pool_coalesce_writes: int = 4
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ReproError(
-                f"workers must be at least 1, got {self.workers}"
-            )
 
     @classmethod
     def baseline(cls, **overrides) -> "ExtSCCConfig":
@@ -125,15 +105,8 @@ class ExtSCCConfig:
         rebuild different contraction levels than the journal describes, so
         :class:`~repro.recovery.checkpoint.CheckpointManager` stores this
         dict in the journal header and refuses to resume on mismatch.
-
-        ``workers`` is an *execution* knob, not an algorithm knob: every K
-        produces the same levels, labels, and total ledger, so a journal
-        written at K=1 may be resumed at K=4 (and vice versa) — it is
-        excluded from the fingerprint.
         """
-        fp = asdict(self)
-        fp.pop("workers", None)
-        return fp
+        return asdict(self)
 
     @property
     def name(self) -> str:

@@ -43,7 +43,6 @@ from repro.io.blocks import BlockDevice
 from repro.io.codecs import RecordStore, create_record_file, record_file_from_records
 from repro.io.join import anti_join, cogroup, lookup_join, semi_join
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import shard_ranges
 from repro.io.sort import KEY_DST_SRC, KEY_SRC_DST, external_sort_records, external_sort_stream
 from repro.plan import (
     Dedupe,
@@ -173,22 +172,9 @@ def _degree_pass(
     eout: EdgeFile,
     config: ExtSCCConfig,
 ) -> Tuple[RecordStore, bool]:
-    """One degree-computation co-scan; returns (V_d, any-node-trimmed).
-
-    With a worker pool attached, the two scans are *sharded*: each worker
-    counts degrees over a contiguous block range of one sorted edge file,
-    and the per-shard ``(node, count)`` partials — chained in block order
-    with boundary groups summed — reproduce exactly the counts the single
-    co-scan computes.  Every block is still read once, sequentially, so
-    the ledger is identical to the serial pass at any shard width.
-    """
-    pool = device.worker_pool
-    if pool is not None and pool.workers > 1:
-        in_counts = _sharded_degree_counts(pool, ein, key_index=1)
-        out_counts = _sharded_degree_counts(pool, eout, key_index=0)
-    else:
-        in_counts = _count_groups(ein.scan(), key_index=1)
-        out_counts = _count_groups(eout.scan(), key_index=0)
+    """One degree-computation co-scan; returns (V_d, any-node-trimmed)."""
+    in_counts = _count_groups(ein.scan(), key_index=1)
+    out_counts = _count_groups(eout.scan(), key_index=0)
 
     record_size = 12 if config.product_operator else 8
     trim = config.trim_type1
@@ -239,35 +225,6 @@ def _count_groups(records, key_index: int) -> Iterator[Tuple[int, int]]:
         (node, len(list(group)))
         for node, group in groupby(records, itemgetter(key_index))
     )
-
-
-def _sharded_degree_counts(pool, edges: EdgeFile, key_index: int) -> Iterator[Tuple[int, int]]:
-    """Per-shard degree partials over block ranges, merged back in order.
-
-    A group spanning a shard boundary appears as the last partial of one
-    shard and the first of the next; chaining shards in block order and
-    summing adjacent equal nodes re-fuses it, so the merged stream equals
-    the whole-file :func:`_count_groups` for any shard count.
-    """
-    store = edges.file
-
-    def count_range(block_range: Tuple[int, int]) -> list:
-        start, stop = block_range
-        return list(_count_groups(store.scan_range(start, stop), key_index))
-
-    partials = pool.map(count_range, shard_ranges(store.num_blocks, pool.workers))
-    prev: Optional[int] = None
-    count = 0
-    for part in partials:
-        for node, c in part:
-            if node == prev:
-                count += c
-            else:
-                if prev is not None:
-                    yield prev, count
-                prev, count = node, c
-    if prev is not None:
-        yield prev, count
 
 
 def _filter_to_survivors(
@@ -508,9 +465,8 @@ def build_contract_plan(
     The operator DAG mirrors the cost model's Get-V / Get-E terms one to
     one (so an optimized plan's prediction sums to exactly
     :meth:`CostModel.contraction_iteration`); the four executable stages
-    keep every PR 1 fused chain — and the PR 4 pooled sort barrier —
-    intact, so executing the plan is byte-identical to the pre-plan
-    pipeline.  The two operators over not-yet-built ``G_{i+1}`` files use
+    keep every fused sort chain intact, so executing the plan is
+    byte-identical to the pre-plan pipeline.  The two operators over not-yet-built ``G_{i+1}`` files use
     the planner's retention/growth estimates; the executing caller
     overwrites their ``records`` with the measured sizes once the stage
     has run (predictions never influence execution).
@@ -523,7 +479,7 @@ def build_contract_plan(
     ed_width = 8 + (8 if config.product_operator else 4)
     plan = ExtPlan(f"contract-{i}", phase=f"contraction/contract-{i}")
 
-    # -- stage 1: sort E_i into E_out / E_in (one pooled barrier) ----------
+    # -- stage 1: sort E_i into E_out / E_in --------------------------------
     src = plan.add(Scan(f"E_{i}", records=e, record_size=8))
     eout_ops = [
         plan.add(SortRuns("E_out runs", inputs=(f"E_{i}",), records=e,
@@ -548,24 +504,11 @@ def build_contract_plan(
 
     def run_sort_edges(ctx: dict):
         unique = config.dedupe_parallel_edges
-        pool = device.worker_pool
-        if pool is not None and pool.workers > 1:
-            # The two sorts read the same input and write disjoint
-            # outputs, so they are one barrier of two independent tasks,
-            # run in exactly the original order (eout, ein).
-            eout, ein = pool.run(
-                [
-                    lambda: edges.sorted_by_src(memory, unique=unique),
-                    lambda: edges.sorted_by_dst(memory, unique=unique),
-                ]
-            )
-        else:
-            eout = edges.sorted_by_src(memory, unique=unique)
-            ein = edges.sorted_by_dst(memory, unique=unique)
+        eout = edges.sorted_by_src(memory, unique=unique)
+        ein = edges.sorted_by_dst(memory, unique=unique)
         return eout, ein
 
-    plan.stage("sort-edges", [src] + eout_ops + ein_ops, run_sort_edges,
-               barrier=True)
+    plan.stage("sort-edges", [src] + eout_ops + ein_ops, run_sort_edges)
 
     # -- stage 2: Get-V (Algorithm 3) --------------------------------------
     getv_ops = [

@@ -165,8 +165,7 @@ def build_expand_plan(
 ) -> ExtPlan:
     """Declare one expansion step ``SCC_{i+1} -> SCC_i`` as a plan.
 
-    Three stages: the two augment pipelines (one pooled barrier, like the
-    pre-plan code), the removed-label co-scan, and the label merge whose
+    Three stages: the two augment pipelines, the removed-label co-scan, and the label merge whose
     ``Materialize`` declares the ``expand`` checkpoint role.  The operator
     DAG mirrors :meth:`CostModel.expansion_iteration` term for term.
     """
@@ -195,15 +194,9 @@ def build_expand_plan(
         return augment(device, flipped, level.next_nodes, scc_next, memory)
 
     def run_augments(ctx: dict):
-        # The two augments read the same inputs and write disjoint
-        # outputs — one barrier of two independent tasks when a worker
-        # pool is attached, run in the original e_in-then-e_out order.
-        pool = device.worker_pool
-        if pool is not None and pool.workers > 1:
-            return pool.run([augment_in, augment_out])
         return augment_in(), augment_out()
 
-    plan.stage("augment", srcs + augment_ops, run_augments, barrier=True)
+    plan.stage("augment", srcs + augment_ops, run_augments)
 
     label_ops = [
         plan.add(MergeJoin("removed 3-way co-scan",

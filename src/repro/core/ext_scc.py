@@ -35,7 +35,6 @@ from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.io.blocks import DEFAULT_BLOCK_SIZE, BlockDevice
 from repro.io.codecs import CODECS
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import MakespanMeter, WorkerPool
 from repro.io.pool import SharedBufferPool
 from repro.io.stats import RECOVERY_PHASE, IOBudget, IOSnapshot, IOStats
 from repro.plan import ExtPlan, PlanExecutor, TraceLedger
@@ -98,12 +97,6 @@ class ExtSCCOutput:
         recovery_io: journal-validation I/O of a checkpointed run (zero
             unless a crashed run was resumed).
         resumed: this run continued a crashed one from its checkpoint.
-        makespan: critical-path block I/Os — per top-level phase, the
-            busiest channel's share, summed (see
-            :class:`~repro.io.parallel.MakespanMeter`).  Equals
-            ``io.total`` on an unstriped device or with one channel.
-        channel_io: per-channel I/O totals of a striped run (a single
-            entry equal to ``io.total`` when unstriped).
         trace: per-operator execution spans (one per executed plan stage,
             predicted vs. measured I/Os) — what ``--trace-json`` dumps.
         plans: the optimized plans the run executed, in execution order,
@@ -114,8 +107,7 @@ class ExtSCCOutput:
             :class:`~repro.analysis.cost_model.CostModel` can be given
             per-width stored bytes (``bytes_per_record``).
         health: the fault-tolerance ledger delta of the run — retries,
-            read-repairs, re-dispatched tasks, parity writes, escalations,
-            simulated backoff seconds, and degradation events (see
+            escalations, simulated backoff seconds, and degradation events (see
             :class:`~repro.io.stats.HealthLedger`).  All zeros/empty on a
             fault-free run.
     """
@@ -131,8 +123,6 @@ class ExtSCCOutput:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     recovery_io: IOSnapshot = field(default_factory=IOSnapshot)
     resumed: bool = False
-    makespan: int = 0
-    channel_io: List[int] = field(default_factory=list)
     trace: TraceLedger = field(default_factory=TraceLedger)
     plans: List[ExtPlan] = field(default_factory=list)
     bytes_by_width: Dict[int, Tuple[int, int]] = field(default_factory=dict)
@@ -142,12 +132,6 @@ class ExtSCCOutput:
     def num_iterations(self) -> int:
         """Number of contraction iterations performed."""
         return len(self.iterations)
-
-    @property
-    def parallel_speedup(self) -> float:
-        """``total I/O / makespan`` — how much of the work the channels
-        overlapped (1.0 when serial or unstriped)."""
-        return self.io.total / self.makespan if self.makespan else 1.0
 
 
 class ExtSCC:
@@ -223,12 +207,6 @@ class ExtSCC:
                 readahead=config.pool_readahead,
                 coalesce_writes=config.pool_coalesce_writes,
             )
-        if device.worker_pool is None and config.workers > 1:
-            # The shard width of every partitionable operator downstream.
-            # Task-level only: shard contents and charges are identical to
-            # the unsharded pipeline, so any K reproduces the K=1 ledger.
-            device.attach_workers(WorkerPool(workers=config.workers))
-        meter = MakespanMeter(device)
         start = time.perf_counter()
         # Wall-clock per top-level phase is reported as a delta against the
         # device's ledger, which may already carry phases from a prior run.
@@ -253,7 +231,7 @@ class ExtSCC:
         try:
             return self._pipeline(
                 device, edges, memory, nodes, on_iteration, checkpoint,
-                state, stats, run_start, recovery_io, start, meter,
+                state, stats, run_start, recovery_io, start,
                 seconds_start, bytes_start, health_start,
             )
         except (IOBudgetExceeded, SimulatedCrash):
@@ -280,7 +258,6 @@ class ExtSCC:
         run_start: IOSnapshot,
         recovery_io: IOSnapshot,
         start: float,
-        meter: MakespanMeter,
         seconds_start: Optional[Dict[str, float]] = None,
         bytes_start: Optional[Dict[str, Tuple[int, int]]] = None,
         health_start: Optional[Dict[str, object]] = None,
@@ -444,8 +421,6 @@ class ExtSCC:
             phase_seconds=phase_seconds,
             recovery_io=recovery_io,
             resumed=resumed,
-            makespan=meter.makespan(),
-            channel_io=meter.channel_snapshot(),
             trace=trace,
             plans=plans,
             bytes_by_width={
@@ -496,7 +471,6 @@ def compute_sccs(
     on_iteration: Optional[Callable[[IterationRecord], None]] = None,
     fault_policy: Optional["FaultPolicy"] = None,
     fault_schedule: Optional["FaultSchedule"] = None,
-    parity: bool = False,
 ) -> ExtSCCOutput:
     """One-call API: load an edge list onto a fresh simulated disk and run
     Ext-SCC.
@@ -520,10 +494,6 @@ def compute_sccs(
         fault_schedule: deterministic fault injection schedule
             (:class:`~repro.recovery.fault.FaultSchedule`) for chaos
             testing.
-        parity: keep a RAID-5-style parity channel next to the data
-            channels so single-channel outages and CRC-failed blocks are
-            read-repaired in flight.  Forces a striped device even for
-            ``workers == 1``.
 
     Returns:
         An :class:`ExtSCCOutput`.
@@ -531,15 +501,7 @@ def compute_sccs(
     if config is None:
         config = ExtSCCConfig.optimized() if optimized else ExtSCCConfig.baseline()
     budget = IOBudget(io_budget) if io_budget is not None else None
-    if config.workers > 1 or parity:
-        from repro.io.parallel import StripedDevice
-
-        device: BlockDevice = StripedDevice(
-            block_size=block_size, budget=budget,
-            channels=max(config.workers, 1), parity=parity,
-        )
-    else:
-        device = BlockDevice(block_size=block_size, budget=budget)
+    device = BlockDevice(block_size=block_size, budget=budget)
     if fault_policy is not None:
         device.attach_policy(fault_policy)
     if fault_schedule is not None:

@@ -109,20 +109,6 @@ class TransientIOError(StorageError):
         self.attempt = attempt
 
 
-class ChannelOutageError(TransientIOError):
-    """A whole stripe channel of a :class:`~repro.io.parallel.StripedDevice`
-    is down for a scheduled window.
-
-    Reads from the channel can be served degraded from parity (when the
-    device has a parity channel); writes are retried until the outage
-    window expires.
-    """
-
-    def __init__(self, channel: int, *, attempt: int = 0) -> None:
-        super().__init__(f"stripe channel {channel} is down", attempt=attempt)
-        self.channel = channel
-
-
 class RetryExhaustedError(StorageError):
     """A transient fault persisted past the :class:`FaultPolicy` budget.
 
@@ -141,21 +127,6 @@ class RetryExhaustedError(StorageError):
         self.attempts = attempts
         self.last_error = last_error
         self.reason = reason
-
-
-class WorkerCrashError(ReproError):
-    """A worker executing a pool task died or hung mid-task.
-
-    Raised at dispatch by a scheduled worker fault (``worker-die`` /
-    ``worker-hang``).  The
-    :class:`~repro.io.parallel.WorkerPool` supervisor catches it and
-    re-dispatches the task (tasks are pure, so replay is safe).
-    """
-
-    def __init__(self, kind: str, detail: str = "") -> None:
-        extra = f": {detail}" if detail else ""
-        super().__init__(f"worker {kind}{extra}")
-        self.kind = kind
 
 
 class CheckpointError(ReproError):

@@ -14,7 +14,6 @@ Public surface:
 from repro.io.blocks import DEFAULT_BLOCK_SIZE, BlockDevice, DiskFile
 from repro.io.cache import BufferPool, LabelCache
 from repro.io.files import ExternalFile
-from repro.io.parallel import MakespanMeter, StripedDevice, WorkerPool, shard_ranges
 from repro.io.persistent import (
     DeviceHandle,
     PersistentBlockDevice,
@@ -40,10 +39,6 @@ __all__ = [
     "BufferPool",
     "LabelCache",
     "SharedBufferPool",
-    "StripedDevice",
-    "WorkerPool",
-    "MakespanMeter",
-    "shard_ranges",
     "VarRecordFile",
     "varint_size",
     "MemoryBudget",

@@ -22,7 +22,6 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import (
-    ChannelOutageError,
     CorruptBlockError,
     RetryExhaustedError,
     StorageError,
@@ -46,8 +45,8 @@ class DiskFile:
     """
 
     # Monotonic ids: unlike ``id()``, a uid is never reused after a file is
-    # garbage collected, so it is a safe cache/striping key (the buffer
-    # pool and the striped device both key on it).
+    # garbage collected, so it is a safe cache key (the buffer pool keys
+    # on it).
     _uids = itertools.count()
 
     def __init__(self, name: str, record_size: int, block_capacity: int) -> None:
@@ -100,7 +99,6 @@ class BlockDevice:
         self._tmp_lock = threading.Lock()
         self.pool = None  # optional SharedBufferPool (see attach_pool)
         self.injector = None  # optional FaultInjector (see attach_injector)
-        self.worker_pool = None  # optional WorkerPool (see attach_workers)
         self.fault_schedule = None  # optional FaultSchedule (attach_schedule)
         self.fault_policy = None  # optional FaultPolicy (attach_policy)
         # True when any fault machinery is attached; the block-I/O fast
@@ -146,10 +144,10 @@ class BlockDevice:
         """Install a :class:`~repro.recovery.fault.FaultSchedule`.
 
         Every block-operation *attempt* is then first offered to the
-        schedule, which may raise transient faults, declare channel
-        outages, or damage a block's stored payload; the device's retry
-        wrapper (governed by the attached :class:`FaultPolicy`, or the
-        package defaults) absorbs what it can.  Passing ``None`` detaches.
+        schedule, which may raise transient faults or damage a block's
+        stored payload; the device's retry wrapper (governed by the
+        attached :class:`FaultPolicy`, or the package defaults) absorbs
+        what it can.  Passing ``None`` detaches.
         """
         self.fault_schedule = schedule
         self._verify_reads = schedule is not None
@@ -159,9 +157,7 @@ class BlockDevice:
         """Install a :class:`~repro.recovery.policy.FaultPolicy` governing
         retries/backoff for transient faults.  Passing ``None`` reverts to
         the package defaults (used only while a schedule or injector is
-        attached — a policy alone also activates the guarded I/O path so
-        real ``CorruptBlockError`` from a reopened store hits the same
-        repair/escalation logic)."""
+        attached — a policy alone also activates the guarded I/O path)."""
         self.fault_policy = policy
         self._refresh_fault_path()
 
@@ -171,20 +167,6 @@ class BlockDevice:
             or self.fault_schedule is not None
             or self.fault_policy is not None
         )
-
-    def attach_workers(self, worker_pool) -> None:
-        """Install a :class:`~repro.io.parallel.WorkerPool` on the device.
-
-        Partitionable operators (the external sort's merge passes, the
-        degree co-scan, the two expansion augments) then run their shards
-        through it.  Like ``default_codec``, this rides on the device so
-        operator signatures stay unchanged.  Passing ``None`` detaches it.
-        """
-        self.worker_pool = worker_pool
-        if worker_pool is not None:
-            # Back-reference for the pool's supervisor: scheduled worker
-            # faults and the health ledger live on the device side.
-            worker_pool._device = self
 
     # -- file namespace ----------------------------------------------------
 
@@ -245,18 +227,6 @@ class BlockDevice:
 
     # -- block I/O ---------------------------------------------------------
 
-    def _charge_read(self, f: DiskFile, index: int, sequential: bool) -> None:
-        """Charge one block read of ``f[index]`` to the ledger(s).
-
-        The single routing point for read accounting: a striped device
-        overrides it to additionally charge the owning channel's ledger.
-        """
-        self.stats.record_read(sequential=sequential)
-
-    def _charge_write(self, f: DiskFile, index: int, sequential: bool) -> None:
-        """Charge one block write of ``f[index]`` (see :meth:`_charge_read`)."""
-        self.stats.record_write(sequential=sequential)
-
     def _assert_live(self, f: DiskFile) -> None:
         """Reject I/O on files that were deleted from the namespace."""
         if self._files.get(f.name) is not f:
@@ -289,7 +259,7 @@ class BlockDevice:
         f.blocks.append(tuple(records))
         f.num_records += len(records)
         f.block_checksums.append(self._block_checksum(records))
-        self._charge_write(f, len(f.blocks) - 1, sequential=True)
+        self.stats.record_write(sequential=True)
 
     def read_block(self, f: DiskFile, index: int, sequential: bool) -> Sequence[Record]:
         """Read block ``index`` of ``f``, charging one read of the given pattern."""
@@ -309,7 +279,7 @@ class BlockDevice:
         block = f.blocks[index]
         if self._verify_reads and self._block_checksum(block) != f.block_checksums[index]:
             raise CorruptBlockError(f.name, index)
-        self._charge_read(f, index, sequential=sequential)
+        self.stats.record_read(sequential=sequential)
         return block
 
     def overwrite_block(self, f: DiskFile, index: int, records: Sequence[Record], sequential: bool = False) -> None:
@@ -342,7 +312,7 @@ class BlockDevice:
         f.block_checksums[index] = self._block_checksum(records)
         if self.pool is not None:
             self.pool.invalidate_block(f, index)
-        self._charge_write(f, index, sequential=sequential)
+        self.stats.record_write(sequential=sequential)
 
     # -- fault tolerance ---------------------------------------------------
 
@@ -357,9 +327,9 @@ class BlockDevice:
         raise transient faults or damage the target block), then the
         storage implementation itself.  Transient faults are retried under
         the attached :class:`FaultPolicy` with each failed attempt charged
-        to the ``retry`` ledger label; a ``CorruptBlockError`` on read is
-        handed to :meth:`_repair_block` (parity reconstruction on a
-        :class:`StripedDevice`), after which the read is re-run clean.
+        to the ``retry`` ledger label.  A ``CorruptBlockError`` propagates:
+        the device keeps no redundancy, so a damaged block is answered by
+        resuming from the checkpoint journal.
         """
         if self.injector is not None:
             self.injector.on_io(self, f, is_write=is_write, records=records, index=index)
@@ -372,34 +342,12 @@ class BlockDevice:
                         index=index, attempt=attempt,
                     )
                 except TransientIOError as exc:
-                    if (
-                        not is_write
-                        and index is not None
-                        and isinstance(exc, ChannelOutageError)
-                        and self._repair_block(f, index, rewrite=False)
-                    ):
-                        # Degraded read: the channel is down but the block
-                        # is reconstructible from parity + siblings.  The
-                        # logical read is charged normally (ledger parity
-                        # with the fault-free run); the reconstruction
-                        # traffic was just charged to the repair label.
-                        return impl()
-                    attempt = self._next_attempt(exc, f, index, is_write, sequential, attempt)
+                    attempt = self._next_attempt(exc, f, is_write, sequential, attempt)
                     continue
-            try:
-                return impl()
-            except CorruptBlockError:
-                if (
-                    is_write
-                    or index is None
-                    or not self._repair_block(f, index, rewrite=True)
-                ):
-                    raise
-                return impl()
+            return impl()
 
     def _next_attempt(self, exc: TransientIOError, f: DiskFile,
-                      index: Optional[int], is_write: bool, sequential: bool,
-                      attempt: int) -> int:
+                      is_write: bool, sequential: bool, attempt: int) -> int:
         """Account a failed attempt; backoff and return the next attempt
         number, or escalate :class:`RetryExhaustedError` past the policy."""
         from repro.recovery.policy import DEFAULT_FAULT_POLICY  # lazy: no cycle
@@ -409,8 +357,7 @@ class BlockDevice:
         # The failed attempt consumed a device operation: charge it, so
         # fault-tolerance overhead is a measured quantity (and counts
         # toward the I/O budget — a run cannot retry its way past INF).
-        self._charge_fault(f, index, RETRY_PHASE, is_read=not is_write,
-                           sequential=sequential)
+        self.stats.record_fault_io(RETRY_PHASE, not is_write, sequential)
         attempt += 1
         if attempt > policy.max_retries:
             health.escalations += 1
@@ -430,26 +377,6 @@ class BlockDevice:
                        f"{policy.phase_deadline}s exceeded",
             ) from exc
         return attempt
-
-    def _charge_fault(self, f: DiskFile, index: Optional[int], label: str,
-                      is_read: bool, sequential: bool) -> None:
-        """Charge one fault-handling block I/O (retry / repair traffic).
-
-        The single routing point, like :meth:`_charge_read`: the striped
-        device overrides it to also charge the owning channel's ledger so
-        the channel partition of the main ledger stays exact.
-        """
-        self.stats.record_fault_io(label, is_read, sequential)
-
-    def _repair_block(self, f: DiskFile, index: int, rewrite: bool) -> bool:
-        """Attempt degraded-mode reconstruction of ``f[index]``.
-
-        The base device has no redundancy — only the parity-equipped
-        :class:`StripedDevice` can repair.  Returns True when the block
-        was reconstructed (and, with ``rewrite=True``, rewritten in
-        place).
-        """
-        return False
 
     def _damage_block(self, f: DiskFile, index: int) -> None:
         """Flip a bit in the stored content of block ``index`` without
@@ -507,7 +434,7 @@ class BlockDevice:
         if not 0 <= index < len(f.blocks):
             raise StorageError(f"block {index} out of range for {f.name!r}")
         block = f.blocks[index]
-        self._charge_read(f, index, sequential=True)
+        self.stats.record_read(sequential=True)
         if self._block_checksum(block) != f.block_checksums[index]:
             raise CorruptBlockError(f.name, index)
         return block

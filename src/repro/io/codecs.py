@@ -892,17 +892,11 @@ class CompressedRecordFile:
     def scan_block_range(
         self, start: int, stop: Optional[int] = None
     ) -> Iterator[Sequence[Tuple[Record]]]:
-        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF) —
-        the shard primitive mirroring :meth:`ExternalFile.scan_block_range`."""
+        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF),
+        mirroring :meth:`ExternalFile.scan_block_range`."""
         if not self._closed:
             raise StorageError(f"close {self.name!r} before scanning it")
         return self._var.scan_block_range(start, stop)
-
-    def scan_range(self, start: int, stop: Optional[int] = None) -> Iterator[Record]:
-        """Stream the records of blocks ``start .. stop`` sequentially."""
-        if not self._closed:
-            raise StorageError(f"close {self.name!r} before scanning it")
-        return self._var.scan_range(start, stop)  # type: ignore[return-value]
 
     def read_block_random(self, index: int) -> Sequence[Record]:
         """Compressed intermediates are scan-only by design."""

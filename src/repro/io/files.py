@@ -220,12 +220,7 @@ class ExternalFile:
     def scan_block_range(
         self, start: int, stop: Optional[int] = None
     ) -> Iterator[Sequence[Record]]:
-        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF).
-
-        The shard primitive of the parallel operators: disjoint ranges of
-        one file can be scanned concurrently, and scanning a partition of
-        ranges in order charges exactly what one whole-file scan charges.
-        """
+        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF)."""
         if not self._closed:
             raise StorageError(f"close {self.name!r} before scanning it")
         end = self._file.num_blocks if stop is None else min(stop, self._file.num_blocks)
@@ -235,11 +230,6 @@ class ExternalFile:
             return
         for index in range(start, end):
             yield self.device.read_block(self._file, index, sequential=True)
-
-    def scan_range(self, start: int, stop: Optional[int] = None) -> Iterator[Record]:
-        """Stream the records of blocks ``start .. stop`` sequentially."""
-        for block in self.scan_block_range(start, stop):
-            yield from block
 
     def read_block_random(self, index: int) -> Sequence[Record]:
         """Read one block by index, charging a *random* read (a seek) —

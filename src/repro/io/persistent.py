@@ -471,7 +471,7 @@ class PersistentBlockDevice(BlockDevice):
         f._block_counts.append(len(records))
         f.block_checksums.append(checksum)
         f.num_records += len(records)
-        self._charge_write(f, f._num_blocks - 1, sequential=True)
+        self.stats.record_write(sequential=True)
 
     def _read_slot(self, f: PersistentDiskFile, index: int) -> bytes:
         """Read and checksum-verify one slot; returns the payload bytes."""
@@ -489,7 +489,7 @@ class PersistentBlockDevice(BlockDevice):
     def _read_impl(self, f: DiskFile, index: int, sequential: bool) -> Sequence[Record]:
         assert isinstance(f, PersistentDiskFile)
         payload = self._read_slot(f, index)
-        self._charge_read(f, index, sequential=sequential)
+        self.stats.record_read(sequential=sequential)
         return self._decode(f, payload, index)
 
     def _overwrite_impl(self, f: DiskFile, index: int, records: Sequence[Record],
@@ -506,7 +506,7 @@ class PersistentBlockDevice(BlockDevice):
         f.block_checksums[index] = checksum
         if self.pool is not None:
             self.pool.invalidate_block(f, index)
-        self._charge_write(f, index, sequential=sequential)
+        self.stats.record_write(sequential=sequential)
 
     # -- crash surface -----------------------------------------------------
 
@@ -552,7 +552,7 @@ class PersistentBlockDevice(BlockDevice):
         if not 0 <= index < f._num_blocks:
             raise StorageError(f"block {index} out of range for {f.name!r}")
         payload = self._read_slot(f, index)
-        self._charge_read(f, index, sequential=True)
+        self.stats.record_read(sequential=True)
         expected = f.block_checksums[index] if index < len(f.block_checksums) else None
         if expected is not None and zlib.crc32(payload) != expected:
             raise CorruptBlockError(f.name, index)

@@ -32,8 +32,8 @@ file's object was garbage collected and a new :class:`DiskFile` landed at
 the same address (most easily provoked through ``rename(overwrite=True)``,
 which silently dropped the clobbered target without invalidation), serving
 the dead file's blocks as the new file's content.  A lock guards the shared
-structures so several worker shards may scan — including two block ranges
-of the *same* file — concurrently.
+structures, so the pool stays consistent if several threads read through
+it.
 
 The Ext-SCC pipeline attaches a readahead/coalescing pool (cache off) so
 its ledger keeps reproducing the paper's sequential/random split exactly;
@@ -122,10 +122,8 @@ class SharedBufferPool:
         """Sequential scan with readahead: blocks are fetched (and charged,
         sequentially, once each) in ``readahead``-deep batches.
 
-        ``start``/``stop`` bound the scan to a block range, so worker
-        shards can stream disjoint ranges of the same file concurrently —
-        each range is its own readahead stream and the charges are exactly
-        those of scanning the range without a pool.
+        ``start``/``stop`` bound the scan to a block range; the charges
+        are exactly those of scanning the range without a pool.
         """
         index = start
         end = f.num_blocks if stop is None else min(stop, f.num_blocks)

@@ -285,9 +285,7 @@ def _merge_pass(
     """Merge groups of ``fan_in`` runs into longer runs (one full pass).
 
     The groups are independent (disjoint inputs, separate outputs) and
-    merge one after another.  With a :class:`~repro.io.parallel.WorkerPool`
-    attached to the device they run as its supervised tasks, still in
-    order, so the ledger is the same with or without the pool.
+    merge one after another.
     """
     device.stats.record_merge_pass()
 
@@ -300,11 +298,10 @@ def _merge_pass(
             run.delete()
         return out
 
-    groups = [runs[start : start + fan_in] for start in range(0, len(runs), fan_in)]
-    pool = device.worker_pool
-    if pool is not None and len(groups) > 1:
-        return list(pool.map(merge_group, groups))
-    return [merge_group(group) for group in groups]
+    return [
+        merge_group(runs[start : start + fan_in])
+        for start in range(0, len(runs), fan_in)
+    ]
 
 
 def merge_runs(

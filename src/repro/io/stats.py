@@ -26,7 +26,6 @@ __all__ = [
     "HealthLedger",
     "RECOVERY_PHASE",
     "RETRY_PHASE",
-    "REPAIR_PHASE",
     "FAULT_PHASES",
 ]
 
@@ -39,13 +38,9 @@ RETRY_PHASE = "retry"
 """Phase label for block I/Os burned on failed transient attempts.  Charged
 via :meth:`IOStats.record_fault_io` outside the phase stack, so a faulty
 run's per-phase ledger stays equal to the fault-free run's and the *only*
-delta is this label (plus :data:`REPAIR_PHASE`)."""
+delta is this label."""
 
-REPAIR_PHASE = "repair"
-"""Phase label for degraded-mode read-repair I/Os: parity + sibling reads
-and the rewrite of a reconstructed block."""
-
-FAULT_PHASES = (RETRY_PHASE, REPAIR_PHASE)
+FAULT_PHASES = (RETRY_PHASE,)
 """The labels fault handling may charge; every other label must be
 byte-identical between a faulty and a fault-free run."""
 
@@ -54,33 +49,25 @@ class HealthLedger:
     """Counters for fault-tolerance work, kept next to the I/O ledger.
 
     Everything here is *bookkeeping about degradation*, not block I/O:
-    how many transient attempts were retried, how many blocks were
-    read-repaired from parity, how many pool tasks were re-dispatched
-    after a worker died or hung, how many simulated backoff seconds the
-    retry policy charged, and which degradation events happened.
+    how many transient attempts were retried or escalated, how many
+    simulated backoff seconds the retry policy charged, and which
+    degradation events happened.
     Surfaced in ``scc -v``, bench tables/JSON, and ``--trace-json``.
     """
 
     _COUNTERS = (
         "retries",
-        "repairs",
-        "redispatches",
-        "parity_writes",
         "escalations",
     )
 
     def __init__(self) -> None:
         self.retries = 0
-        self.repairs = 0
-        self.redispatches = 0
-        self.parity_writes = 0
         self.escalations = 0
         self.backoff_seconds = 0.0
         # top-level phase label -> simulated backoff seconds spent there
         # (the policy's per-phase deadline is enforced against this).
         self.backoff_by_phase: Dict[str, float] = {}
-        # Human-readable degradation events, in order: channel outages
-        # survived, read-repaired blocks, re-dispatched shards, ...
+        # Human-readable degradation events, in order.
         self.events: List[str] = []
 
     def record_event(self, message: str) -> None:
@@ -110,8 +97,6 @@ class HealthLedger:
         """True when any fault-tolerance machinery actually fired."""
         return bool(
             self.retries
-            or self.repairs
-            or self.redispatches
             or self.escalations
             or self.events
         )
@@ -239,13 +224,11 @@ class IOStats:
         self.bytes_by_width: Dict[int, list[int]] = {}
         self._phase_stack: list[str] = []
         # Labels entered while the stack was empty, in first-entry order —
-        # the run's outermost phases, which partition its attributed I/O
-        # (the makespan meter in repro.io.parallel sums channel maxima over
-        # exactly these, so nested labels are never double counted).
+        # the run's outermost phases, which partition its attributed I/O.
         self.top_level_phases: List[str] = []
-        # Worker threads of a parallel executor record into the same ledger
-        # concurrently; the counter updates and by-phase read-modify-writes
-        # must be atomic.  The budget check stays outside the lock so an
+        # The query daemon's handler and batch-collector threads record
+        # into one ledger concurrently; the counter updates and by-phase
+        # read-modify-writes must be atomic.  The budget check stays outside the lock so an
         # IOBudgetExceeded never propagates with the lock held.
         self._lock = threading.Lock()
         self.health = HealthLedger()
@@ -326,14 +309,14 @@ class IOStats:
     ) -> None:
         """Count fault-handling I/O under ``label`` instead of the phase stack.
 
-        Failed transient attempts (:data:`RETRY_PHASE`) and read-repair
-        traffic (:data:`REPAIR_PHASE`) go through here: the blocks count
+        Failed transient attempts (:data:`RETRY_PHASE`) go through here:
+        the blocks count
         toward the global totals — and therefore toward the
         :class:`IOBudget`, so a run cannot retry its way past the paper's
         INF cutoff — but are attributed *only* to the given label, never
         to the active algorithm phases.  That keeps the per-phase ledger
         of a faulty run byte-identical to the fault-free run, with the
-        fault labels as the whole, separately auditable delta.
+        fault label as the whole, separately auditable delta.
         """
         with self._lock:
             if is_read and sequential:
@@ -352,7 +335,7 @@ class IOStats:
         self._enforce_budget()
 
     def fault_total(self) -> int:
-        """Block I/Os charged to the fault labels (retry + repair)."""
+        """Block I/Os charged to the fault labels."""
         return sum(self.phase_total(label) for label in FAULT_PHASES)
 
     def _attribute(self, sequential: bool, blocks: int, is_read: bool) -> None:
@@ -418,9 +401,8 @@ class IOStats:
         stack, so a ``"contraction"`` phase containing a ``"sort"`` phase
         charges both.
 
-        Only the orchestrating thread pushes phases; worker tasks of a
-        parallel executor run entirely *inside* a phase, so the stack is
-        never mutated while another thread attributes against it.
+        Only the orchestrating thread pushes phases, so the stack is never
+        mutated while another thread attributes against it.
         """
         if not self._phase_stack and label not in self.top_level_phases:
             self.top_level_phases.append(label)

@@ -188,8 +188,8 @@ class VarRecordFile:
     def scan_block_range(
         self, start: int, stop: Optional[int] = None
     ) -> Iterator[Sequence[Tuple[object]]]:
-        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF) —
-        the shard primitive mirroring :meth:`ExternalFile.scan_block_range`."""
+        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF),
+        mirroring :meth:`ExternalFile.scan_block_range`."""
         if not self._closed:
             raise StorageError(f"close {self.name!r} before scanning it")
         end = self._file.num_blocks if stop is None else min(stop, self._file.num_blocks)
@@ -199,11 +199,6 @@ class VarRecordFile:
             return
         for index in range(start, end):
             yield self.device.read_block(self._file, index, sequential=True)
-
-    def scan_range(self, start: int, stop: Optional[int] = None) -> Iterator[object]:
-        """Stream the payloads of blocks ``start .. stop`` sequentially."""
-        for block in self.scan_block_range(start, stop):
-            yield from [payload for (payload,) in block]
 
     def rename(self, new_name: str, overwrite: bool = True) -> None:
         """Rename the file on the device (metadata only)."""

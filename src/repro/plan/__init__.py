@@ -3,7 +3,7 @@
 Pipelines build an :class:`ExtPlan` — a DAG over the seven-operator
 vocabulary of :mod:`repro.plan.ops` — instead of calling ``io/``
 functions directly; the planner (:func:`repro.analysis.planner.optimize_plan`)
-applies fusion, codec, and sharding rewrites with cost predictions, and
+applies fusion and codec rewrites with cost predictions, and
 the :class:`PlanExecutor` runs the stages, emits per-operator spans into
 a :class:`TraceLedger`, and fires checkpoint commits declared on
 ``Materialize`` nodes.

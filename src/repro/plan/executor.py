@@ -44,12 +44,6 @@ class PlanExecutor:
         self.device = device
         self.trace = trace
 
-    def _channel_totals(self):
-        totals = getattr(self.device, "channel_totals", None)
-        if totals is not None:
-            return totals()
-        return [self.device.stats.total]
-
     def execute(
         self,
         plan: ExtPlan,
@@ -79,7 +73,6 @@ class PlanExecutor:
             before = stats.snapshot()
             records_before = stats.records_written
             bytes_before = stats.bytes_stored
-            channels_before = self._channel_totals()
             started = time.perf_counter()
             result = stage.run(ctx)
             wall = time.perf_counter() - started
@@ -87,10 +80,6 @@ class PlanExecutor:
             self._commit(plan, stage, result, hooks)
             if self.trace is not None:
                 delta = stats.snapshot() - before
-                makespan = max(
-                    after - before_ for after, before_ in
-                    zip(self._channel_totals(), channels_before)
-                )
                 ops = plan.stage_ops(stage)
                 predicted = (
                     sum(op.predicted_ios or 0 for op in ops if not op.elided)
@@ -110,7 +99,6 @@ class PlanExecutor:
                     random_ios=delta.random,
                     records=stats.records_written - records_before,
                     bytes_stored=stats.bytes_stored - bytes_before,
-                    makespan=makespan,
                     wall_seconds=wall,
                 ))
         return result

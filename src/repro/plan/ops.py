@@ -88,15 +88,11 @@ class PlanOp:
             (PR 1); the fusion rewrite elides it when that is cheaper.
         fused: set by the fusion rewrite on the surviving sort parts.
         elided: set by the fusion rewrite on the removed ``Materialize``.
-        workers: shard width assigned by the sharding rewrite (1 = serial).
         codec: storage codec assigned by the codec rewrite to writing ops.
         checkpoint: journal role (``"contract"`` / ``"semi"`` /
             ``"expand"``) a ``Materialize`` declares; the executor commits
             the matching checkpoint entry when the owning stage finishes.
-        predicted_ios: blocks the planner predicts for this operator
-            (total work, independent of sharding).
-        predicted_makespan: busiest-channel share of ``predicted_ios``
-            when striped over ``workers`` channels.
+        predicted_ios: blocks the planner predicts for this operator.
         id: position in the owning plan (assigned by ``ExtPlan.add``).
     """
 
@@ -109,11 +105,9 @@ class PlanOp:
     fusable: bool = False
     fused: bool = False
     elided: bool = False
-    workers: int = 1
     codec: Optional[str] = None
     checkpoint: Optional[str] = None
     predicted_ios: Optional[int] = None
-    predicted_makespan: Optional[int] = None
     id: int = field(default=-1, compare=False)
 
     kind = "op"

@@ -10,7 +10,7 @@ An :class:`ExtPlan` has two synchronized views of one external pipeline:
   consumers with streaming generators, so a fused chain is *one*
   execution unit: splitting it would materialize intermediates and
   change the I/O ledger.  Each stage's ``run`` thunk executes the
-  existing fused pipeline verbatim (pooled barriers included), which is
+  existing fused pipeline verbatim, which is
   what keeps a plan-built run byte-identical to the hand-threaded one.
 
 Stage thunks take a ``ctx`` dict; each stage's result is stored under
@@ -39,15 +39,11 @@ class PlanStage:
         op_ids: ids of the DAG operators this stage executes.
         run: the thunk (``None`` for declarative-only plans, e.g. the
             ones ``--explain`` builds and renders without running).
-        barrier: the stage is a pooled barrier of independent tasks
-            (PR 4): its thunk submits them through the device's worker
-            pool in one ``run()`` call.
     """
 
     label: str
     op_ids: Tuple[int, ...]
     run: Optional[StageFn] = None
-    barrier: bool = False
 
 
 class ExtPlan:
@@ -73,15 +69,9 @@ class ExtPlan:
         label: str,
         ops: Sequence[PlanOp],
         run: Optional[StageFn] = None,
-        barrier: bool = False,
     ) -> PlanStage:
         """Group already-added operators into one executable stage."""
-        stage = PlanStage(
-            label=label,
-            op_ids=tuple(op.id for op in ops),
-            run=run,
-            barrier=barrier,
-        )
+        stage = PlanStage(label=label, op_ids=tuple(op.id for op in ops), run=run)
         self.stages.append(stage)
         return stage
 
@@ -120,16 +110,6 @@ class ExtPlan:
             op.predicted_ios or 0 for op in self.ops if not op.elided
         )
 
-    @property
-    def total_predicted_makespan(self) -> int:
-        """Predicted busiest-channel blocks (equals ``total_predicted``
-        when no sharding rewrite ran)."""
-        return sum(
-            (op.predicted_makespan if op.predicted_makespan is not None
-             else op.predicted_ios) or 0
-            for op in self.ops if not op.elided
-        )
-
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
@@ -158,8 +138,6 @@ class ExtPlan:
                 attrs.append("fused")
             if op.codec is not None:
                 attrs.append(op.codec)
-            if op.workers > 1:
-                attrs.append(f"K={op.workers}")
             if op.checkpoint is not None:
                 attrs.append(f"ckpt:{op.checkpoint}")
             pred = (
@@ -171,12 +149,5 @@ class ExtPlan:
                 f"{stage_of.get(op.id, '-'):<16} {op.records:>10,} "
                 f"{op.record_size:>3} {','.join(attrs) or '-':<18} {pred:>10}"
             )
-        lines.append(
-            f"  predicted total: {self.total_predicted:,} blocks"
-            + (
-                f"  (critical path {self.total_predicted_makespan:,})"
-                if self.total_predicted_makespan != self.total_predicted
-                else ""
-            )
-        )
+        lines.append(f"  predicted total: {self.total_predicted:,} blocks")
         return "\n".join(lines)

@@ -3,7 +3,7 @@
 Every stage a :class:`~repro.plan.PlanExecutor` runs emits one
 :class:`Span` — which operators ran, the phase they were charged to, the
 planner's predicted blocks, and the measured I/O delta (blocks, payload
-bytes, busiest-channel makespan contribution, wall time).  The ledger is
+bytes, wall time).  The ledger is
 surfaced by ``repro scc --trace-json`` and by bench reporting, and the
 trace-envelope benchmark checks the predictions against the
 measurements.
@@ -36,8 +36,6 @@ class Span:
         random_ios: measured non-sequential accesses (zero by design).
         records: records appended to files during the stage.
         bytes_stored: stored payload bytes written during the stage.
-        makespan: busiest-channel share of the stage's blocks on a
-            striped device (equals ``reads + writes`` when unstriped).
         wall_seconds: host wall-clock time of the stage.
     """
 
@@ -51,7 +49,6 @@ class Span:
     random_ios: int
     records: int
     bytes_stored: int
-    makespan: int
     wall_seconds: float
 
     @property
@@ -92,11 +89,10 @@ class TraceLedger:
             self.recorded += 1
             bucket = self._phases.setdefault(
                 top,
-                {"predicted": 0, "measured": 0, "makespan": 0, "wall_seconds": 0.0},
+                {"predicted": 0, "measured": 0, "wall_seconds": 0.0},
             )
             bucket["predicted"] += span.predicted_ios or 0
             bucket["measured"] += span.measured_ios
-            bucket["makespan"] += span.makespan
             bucket["wall_seconds"] += span.wall_seconds
 
     @property
@@ -110,7 +106,7 @@ class TraceLedger:
         return sum(int(b["predicted"]) for b in self.by_phase().values())
 
     def by_phase(self) -> Dict[str, Dict[str, float]]:
-        """``{phase: {predicted, measured, makespan, wall_seconds}}`` over
+        """``{phase: {predicted, measured, wall_seconds}}`` over
         the run's top-level phases (the prefix before the first ``/``).
         ``wall_seconds`` is the one float — a host measurement riding along
         with the simulated counters."""
@@ -121,7 +117,7 @@ class TraceLedger:
         """A printable per-span table (predicted vs. measured blocks)."""
         lines = [
             f"{'plan':<14} {'stage':<18} {'pred.':>8} {'meas.':>8} "
-            f"{'Δ%':>7} {'makespan':>9} {'bytes':>12}"
+            f"{'Δ%':>7} {'bytes':>12}"
         ]
         for s in self.spans:
             if s.predicted_ios is None:
@@ -133,7 +129,7 @@ class TraceLedger:
             pred = "-" if s.predicted_ios is None else f"{s.predicted_ios:,}"
             lines.append(
                 f"{s.plan:<14} {s.stage:<18} {pred:>8} {s.measured_ios:>8,} "
-                f"{delta:>7} {s.makespan:>9,} {s.bytes_stored:>12,}"
+                f"{delta:>7} {s.bytes_stored:>12,}"
             )
         lines.append(
             f"{'TOTAL':<14} {'':<18} {self.total_predicted:>8,} "
@@ -149,7 +145,7 @@ class TraceLedger:
             indent: JSON indentation.
             plans: optional executed :class:`~repro.plan.ExtPlan` list —
                 each is serialized with its rewrite log and per-operator
-                ``predicted_ios`` / ``predicted_makespan``, so one
+                ``predicted_ios``, so one
                 artifact carries everything offline analysis needs.
             context: optional run context (knobs, sizes, the payload
                 ledger).
@@ -167,7 +163,6 @@ class TraceLedger:
                     "phase": plan.phase,
                     "rewrites": list(plan.rewrites),
                     "predicted_total": plan.total_predicted,
-                    "predicted_makespan": plan.total_predicted_makespan,
                     "ops": [
                         {
                             "id": op.id,
@@ -175,12 +170,10 @@ class TraceLedger:
                             "label": op.label,
                             "records": op.records,
                             "record_size": op.record_size,
-                            "workers": op.workers,
                             "codec": op.codec,
                             "fused": op.fused,
                             "elided": op.elided,
                             "predicted_ios": op.predicted_ios,
-                            "predicted_makespan": op.predicted_makespan,
                         }
                         for op in plan.ops
                     ],

@@ -39,7 +39,7 @@ from repro.io.blocks import BlockDevice, DiskFile
 from repro.io.codecs import CompressedRecordFile, RecordStore, resolve_codec
 from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.stats import IOSnapshot
+from repro.io.stats import RECOVERY_PHASE, IOSnapshot
 
 __all__ = ["CheckpointManager", "ResumeState", "describe_store", "reopen_store"]
 
@@ -313,6 +313,26 @@ class CheckpointManager:
             return False
         crc = device.file_checksum(f)
         return crc == desc["checksum"]
+
+    def damaged_inputs(self) -> List[str]:
+        """Names of the journaled input files that fail validation.
+
+        Every journal prefix depends on the run's inputs, so a damaged
+        input is the one fault :meth:`recover` cannot route around.  The
+        caller re-stages each named file from its source (same name, same
+        content) and then resumes.  The sweep is charged to the
+        ``recovery`` phase, and an intact input's verdict is kept, so
+        :meth:`recover` does not read it again.
+        """
+        if not self.journal:
+            return []
+        header = self.journal[0]
+        inputs = [d for d in (header["edges"], header["nodes"]) if d is not None]
+        with self.device.stats.phase(RECOVERY_PHASE):
+            damaged = [d["name"] for d in inputs if not self._verify_desc(d)]
+        for name in damaged:
+            del self._verified[name]  # the caller replaces the file
+        return damaged
 
     def recover(
         self,

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.exceptions import ChannelOutageError, SimulatedCrash, TransientIOError
+from repro.exceptions import SimulatedCrash, TransientIOError
 
 __all__ = ["FaultInjector", "FaultSpec", "FaultSchedule", "FAULT_KINDS"]
 
@@ -99,9 +99,6 @@ FAULT_KINDS = (
     "transient-read",
     "transient-write",
     "corrupt",
-    "channel-outage",
-    "worker-die",
-    "worker-hang",
 )
 """The fault taxonomy, beyond PR 3's fail-stop ``SimulatedCrash``:
 
@@ -110,83 +107,52 @@ FAULT_KINDS = (
     consecutive attempts, then succeeds (the simulated flaky ``EIO``).
 ``corrupt``
     A scheduled bit-flip in the targeted block's stored payload; the
-    per-block CRC layer surfaces it as ``CorruptBlockError`` on read and a
-    parity-equipped device read-repairs it.
-``channel-outage``
-    A whole stripe channel of a :class:`StripedDevice` goes down for
-    ``duration`` device-operation attempts; reads are served degraded from
-    parity, writes retry until the outage window expires.
-``worker-die`` / ``worker-hang``
-    A pool task fails at dispatch (a simulated crash, or a simulated
-    hang past its deadline); the :class:`WorkerPool` supervisor
-    re-dispatches.
+    per-block CRC layer surfaces it as ``CorruptBlockError`` on read.  The
+    device keeps no redundancy, so a checkpointed run answers it by
+    resuming from its journal.
 """
-
-_WORKER_KINDS = ("worker-die", "worker-hang")
-_DEVICE_KINDS = tuple(k for k in FAULT_KINDS if k not in _WORKER_KINDS)
 
 
 @dataclass
 class FaultSpec:
     """One scheduled fault.
 
-    Device faults trigger on the first *eligible* first-attempt block
+    A fault triggers on the first *eligible* first-attempt block
     operation at or after ordinal ``at_io`` (1-based, counted since
     attach; retries of a faulted operation do not advance the ordinal, so
     a schedule's later faults land on the same logical operations as they
     would in a retry-free run), or on the first eligible operation whose
-    phase stack contains ``in_phase``.  Worker faults trigger on pool-task
-    ordinal ``at_task`` or on the first task dispatched inside
-    ``in_phase``.  Each spec fires exactly once.
+    phase stack contains ``in_phase``.  Each spec fires exactly once.
 
     Args:
         kind: one of :data:`FAULT_KINDS`.
         at_io: 1-based device-operation ordinal trigger.
         in_phase: phase-label trigger (e.g. ``"contract-1"``).
-        at_task: 1-based pool-task ordinal trigger (worker kinds).
         failures: for transient kinds, how many consecutive attempts of
             the targeted operation fail before it succeeds.
-        channel: for ``channel-outage``, the stripe channel to take down
-            (default: the channel of the triggering operation).
-        duration: for ``channel-outage``, how many device-operation
-            attempts the outage lasts (retries count, so a blocked write
-            retried under the policy rides out the window).
     """
 
     kind: str
     at_io: Optional[int] = None
     in_phase: Optional[str] = None
-    at_task: Optional[int] = None
     failures: int = 1
-    channel: Optional[int] = None
-    duration: int = 4
     fired: bool = False
     fired_at: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} (one of {FAULT_KINDS})")
-        if self.kind in _WORKER_KINDS:
-            if (self.at_task is None) == (self.in_phase is None):
-                raise ValueError(f"{self.kind} needs exactly one of at_task / in_phase")
-        else:
-            if (self.at_io is None) == (self.in_phase is None):
-                raise ValueError(f"{self.kind} needs exactly one of at_io / in_phase")
-            if self.at_io is not None and self.at_io < 1:
-                raise ValueError(f"at_io is 1-based, got {self.at_io}")
+        if (self.at_io is None) == (self.in_phase is None):
+            raise ValueError(f"{self.kind} needs exactly one of at_io / in_phase")
+        if self.at_io is not None and self.at_io < 1:
+            raise ValueError(f"at_io is 1-based, got {self.at_io}")
         if self.failures < 1:
             raise ValueError(f"failures must be >= 1, got {self.failures}")
-        if self.duration < 1:
-            raise ValueError(f"duration must be >= 1, got {self.duration}")
 
     def _eligible(self, is_write: bool) -> bool:
-        if self.kind == "transient-read":
-            return not is_write
         if self.kind == "transient-write":
             return is_write
-        if self.kind == "corrupt":
-            return not is_write
-        return True  # channel-outage hits reads and writes alike
+        return not is_write  # transient-read and corrupt hit reads
 
 
 class FaultSchedule:
@@ -195,9 +161,8 @@ class FaultSchedule:
     Attaches to a device like the :class:`FaultInjector`
     (``schedule.attach(device)`` / ``device.attach_schedule(schedule)``)
     and is consulted by the device's retry wrapper before every block
-    operation attempt, and by the :class:`WorkerPool` at every task
-    dispatch.  All triggering is by deterministic ordinals or phase
-    labels — two runs with the same schedule fault identically.
+    operation attempt.  All triggering is by deterministic ordinals or
+    phase labels — two runs with the same schedule fault identically.
 
     Thread-safe: ordinal bookkeeping is locked, exceptions are raised
     outside the lock.
@@ -206,10 +171,7 @@ class FaultSchedule:
     def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
         self.specs: List[FaultSpec] = list(specs)
         self.ordinal = 0  # first-attempt device operations since attach
-        self.attempts = 0  # every attempt, retries included (outage clock)
-        self.task_ordinal = 0  # pool tasks dispatched since attach
         self._pending_failures = 0  # transient failures left for current op
-        self._outages: Dict[int, int] = {}  # channel -> expires at attempt #
         self._lock = threading.Lock()
 
     @classmethod
@@ -227,8 +189,6 @@ class FaultSchedule:
         """The specs that have fired so far, in schedule order."""
         return [s for s in self.specs if s.fired]
 
-    # -- device hook -------------------------------------------------------
-
     def on_io(
         self,
         device,
@@ -240,100 +200,47 @@ class FaultSchedule:
     ) -> None:
         """Called by the device before every block-operation attempt.
 
-        Raises :class:`TransientIOError` / :class:`ChannelOutageError` for
-        attempts that must fail, and injects ``corrupt`` damage into the
-        targeted block (the CRC layer then surfaces it on the read).
+        Raises :class:`TransientIOError` for attempts that must fail, and
+        injects ``corrupt`` damage into the targeted block (the CRC layer
+        then surfaces it on the read).
         """
-        action: Optional[tuple] = None
+        action: Optional[str] = None
         with self._lock:
-            self.attempts += 1
             if attempt == 0:
                 self.ordinal += 1
                 self._pending_failures = 0
             stack = device.stats._phase_stack
-            channel = self._channel_of(device, f, index)
-            # 1. An already-declared outage on this operation's channel.
-            if channel is not None and channel in self._outages:
-                if self.attempts <= self._outages[channel]:
-                    action = ("outage", channel)
-                else:
-                    del self._outages[channel]
-            # 2. A transient fault already latched onto this operation.
-            if action is None and self._pending_failures > 0:
+            # 1. A transient fault already latched onto this operation.
+            if self._pending_failures > 0:
                 self._pending_failures -= 1
-                action = ("transient", None)
-            # 3. New specs triggering on this attempt.
-            if action is None and attempt == 0:
+                action = "transient"
+            # 2. New specs triggering on this attempt.
+            elif attempt == 0:
                 for spec in self.specs:
-                    if spec.fired or spec.kind in _WORKER_KINDS:
-                        continue
-                    if not spec._eligible(is_write):
+                    if spec.fired or not spec._eligible(is_write):
                         continue
                     if not self._triggered(spec, stack):
                         continue
                     spec.fired = True
                     spec.fired_at = self.ordinal
-                    if spec.kind in ("transient-read", "transient-write"):
+                    if spec.kind == "corrupt":
+                        action = "corrupt"
+                    else:
                         self._pending_failures = spec.failures - 1
-                        action = ("transient", None)
-                    elif spec.kind == "corrupt":
-                        action = ("corrupt", None)
-                    elif spec.kind == "channel-outage":
-                        target = spec.channel if spec.channel is not None else channel
-                        if target is None:
-                            # Unstriped device: degrade to a plain transient.
-                            self._pending_failures = spec.duration - 1
-                            action = ("transient", None)
-                        else:
-                            self._outages[target] = self.attempts + spec.duration
-                            if target == channel:
-                                action = ("outage", target)
+                        action = "transient"
                     break
-        if action is None:
-            return
-        what, arg = action
-        if what == "transient":
+        if action == "transient":
             raise TransientIOError(
                 f"transient {'write' if is_write else 'read'} fault on "
                 f"{getattr(f, 'name', f)!r}",
                 attempt=attempt,
             )
-        if what == "outage":
-            raise ChannelOutageError(arg, attempt=attempt)
         # corrupt: damage the stored block in place, then let the read
-        # proceed — the CRC check surfaces CorruptBlockError and the
-        # device's repair path takes over.
-        if index is not None:
+        # proceed — the CRC check surfaces CorruptBlockError.
+        if action == "corrupt" and index is not None:
             device._damage_block(f, index)
 
     def _triggered(self, spec: FaultSpec, stack: Sequence[str]) -> bool:
         if spec.at_io is not None:
             return self.ordinal >= spec.at_io
         return spec.in_phase in stack
-
-    @staticmethod
-    def _channel_of(device, f, index) -> Optional[int]:
-        channel_index = getattr(device, "_channel_index", None)
-        if channel_index is None or index is None:
-            return None
-        return channel_index(f, index)
-
-    # -- worker hook -------------------------------------------------------
-
-    def on_task(self, device) -> Optional[FaultSpec]:
-        """Called by the pool at each task dispatch; returns the worker
-        fault to simulate for this task, if one triggers."""
-        with self._lock:
-            self.task_ordinal += 1
-            for spec in self.specs:
-                if spec.fired or spec.kind not in _WORKER_KINDS:
-                    continue
-                if spec.at_task is not None:
-                    if self.task_ordinal < spec.at_task:
-                        continue
-                elif device is None or spec.in_phase not in device.stats._phase_stack:
-                    continue
-                spec.fired = True
-                spec.fired_at = self.task_ordinal
-                return spec
-        return None

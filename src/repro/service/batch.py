@@ -153,7 +153,6 @@ class BatchEngine:
                         random_ios=reads if reads == 1 else 0,
                         records=len(union_nodes),
                         bytes_stored=0,
-                        makespan=reads,
                         wall_seconds=time.perf_counter() - started,
                     )
                 )

@@ -1,11 +1,15 @@
-"""Transient-fault tolerance: retry/backoff policy, fault schedules,
-parity read-repair, worker supervision, and the chaos property suite.
+"""Fault tolerance: retry/backoff policy, fault schedules, corrupt blocks
+answered by the checkpoint journal, and the chaos property suite.
 
-The load-bearing invariant, checked by the hypothesis suite at the bottom:
-a run that survives an injected fault produces byte-identical SCC labels,
-and the *only* ledger difference against the fault-free run is the
-``retry`` / ``repair`` fault labels — every algorithm phase charges
-exactly the same I/Os.
+The load-bearing invariants, checked by the hypothesis suite at the bottom:
+
+* a run that survives a transient fault produces byte-identical SCC
+  labels, and the *only* ledger difference against the fault-free run is
+  the ``retry`` fault label — every algorithm phase charges exactly the
+  same I/Os;
+* a corrupt block stops a checkpointed run with ``CorruptBlockError``,
+  and resuming from the journal (after re-staging a damaged input from
+  its source) reproduces the fault-free labels.
 """
 
 import os
@@ -16,21 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExtSCC, ExtSCCConfig, compute_sccs
-from repro.exceptions import (
-    ChannelOutageError,
-    CorruptBlockError,
-    RetryExhaustedError,
-    StorageError,
-    TransientIOError,
-    WorkerCrashError,
-)
+from repro.exceptions import CorruptBlockError, RetryExhaustedError
 from repro.graph.edge_file import EdgeFile, NodeFile
 from repro.io.blocks import BlockDevice
+from repro.io.files import ExternalFile
 from repro.io.memory import MemoryBudget
-from repro.io.parallel import StripedDevice, WorkerPool
-from repro.io.parity import ParityStore, decode_records, encode_records, xor_bytes
-from repro.io.stats import FAULT_PHASES, IOSnapshot, REPAIR_PHASE, RETRY_PHASE
-from repro.recovery import FaultPolicy, FaultSchedule, FaultSpec
+from repro.io.stats import FAULT_PHASES, IOSnapshot, RETRY_PHASE
+from repro.recovery import CheckpointManager, FaultPolicy, FaultSchedule, FaultSpec
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +97,12 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec("transient-read", at_io=1, in_phase="semi-scc")
 
-    def test_worker_kind_needs_task_trigger(self):
-        with pytest.raises(ValueError):
-            FaultSpec("worker-die", at_io=1)
-        FaultSpec("worker-die", at_task=1)  # fine
+    @pytest.mark.parametrize("kind", ["channel-outage", "worker-die", "worker-hang"])
+    def test_deleted_kinds_are_unknown(self, kind):
+        # The device is one disk with no worker pool: nothing for these
+        # kinds to name.
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec(kind, at_io=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,185 +193,34 @@ class TestTransientRetry:
 
 
 # ---------------------------------------------------------------------------
-# Corruption + parity read-repair
-
-
-def _striped(num_blocks=4, parity=True, channels=2):
-    device = StripedDevice(block_size=64, channels=channels, parity=parity)
-    f = device.create("data", record_size=2)
-    for i in range(num_blocks):
-        device.append_block(f, [(i, i + 1)] * 4)
-    return device, f
+# Corrupt blocks
 
 
 class TestCorruptRepair:
-    def test_corrupt_block_is_read_repaired_from_parity(self):
-        device, f = _striped()
-        FaultSchedule.single("corrupt", at_io=1).attach(device)
-        assert device.read_block(f, 0, sequential=True) == ((0, 1),) * 4
-        health = device.stats.health
-        assert health.repairs == 1
-        assert any("read-repaired" in event for event in health.events)
-        assert device.stats.phase_total(REPAIR_PHASE) > 0
-        # the block was rewritten: a later read needs no repair
-        assert device.read_block(f, 0, sequential=False) == ((0, 1),) * 4
-        assert health.repairs == 1
-
-    def test_repaired_block_passes_verification(self):
-        device, f = _striped()
-        FaultSchedule.single("corrupt", at_io=1).attach(device)
-        device.read_block(f, 0, sequential=True)
-        # verify_block stays outside the fault machinery by contract
-        assert device.verify_block(f, 0) == ((0, 1),) * 4
+    """The device keeps no redundancy: a corrupt block raises, and the
+    repair is a resume from the checkpoint journal."""
 
     def test_corrupt_without_parity_raises(self):
         device, f = _loaded_device()
         FaultSchedule.single("corrupt", at_io=1).attach(device)
         with pytest.raises(CorruptBlockError):
             device.read_block(f, 0, sequential=True)
+        # no redundancy, so nothing is rewritten and no retry is charged
+        assert device.stats.fault_total() == 0
 
-    def test_parity_maintenance_never_touches_main_ledger(self):
-        plain = StripedDevice(block_size=64, channels=2, parity=False)
-        withp = StripedDevice(block_size=64, channels=2, parity=True)
-        for device in (plain, withp):
-            f = device.create("data", record_size=2)
-            for i in range(4):
-                device.append_block(f, [(i, i)] * 4)
-            device.overwrite_block(f, 1, [(7, 7)] * 4)
-        assert withp.stats.snapshot() == plain.stats.snapshot()
-        assert withp.stats.health.parity_writes == 5
-        assert withp.parity_stats.total == 5
-
-
-class TestChannelOutage:
-    def test_outage_reads_served_degraded_from_parity(self):
-        device, f = _striped()
-        FaultSchedule.single("channel-outage", at_io=1, duration=8).attach(device)
-        for i in range(4):
-            assert device.read_block(f, i, sequential=True) == ((i, i + 1),) * 4
-        health = device.stats.health
-        assert health.repairs >= 1
-        assert device.stats.phase_total(REPAIR_PHASE) > 0
-
-    def test_outage_write_rides_out_window_under_retry(self):
-        device, f = _striped()
-        FaultSchedule.single("channel-outage", at_io=1, duration=2).attach(device)
-        device.attach_policy(FaultPolicy(max_retries=5))
-        device.append_block(f, [(9, 9)] * 4)
-        assert device.stats.health.retries >= 1
-        assert device.read_block(f, 4, sequential=False) == ((9, 9),) * 4
-
-    def test_outage_on_unstriped_device_degrades_to_transient(self):
-        device, f = _loaded_device()
-        FaultSchedule.single("channel-outage", at_io=1, duration=2).attach(device)
-        device.attach_policy(FaultPolicy(max_retries=5))
-        assert device.read_block(f, 0, sequential=True) == ((0, 1),) * 4
-        assert device.stats.health.retries >= 1
-
-
-# ---------------------------------------------------------------------------
-# Parity encoding + store
-
-
-class TestParityStore:
-    @pytest.mark.parametrize("records", [
-        (),
-        ((1, 2), (3, 4)),
-        (5, -7, 1 << 40),
-        (((1, 2), (3,)), (4,)),
-    ])
-    def test_encode_decode_roundtrip(self, records):
-        assert decode_records(encode_records(records)) == records
-
-    def test_decode_tolerates_trailing_zero_padding(self):
-        data = encode_records(((1, 2), (3, 4)))
-        assert decode_records(data + b"\x00" * 13) == ((1, 2), (3, 4))
-
-    def test_xor_bytes_pads_shorter_operand(self):
-        assert xor_bytes(b"\x0f", b"\xf0\xff") == b"\xff\xff"
-        assert xor_bytes(xor_bytes(b"abc", b"xyzw"), b"xyzw") == b"abc\x00"
-
-    def test_reconstruct_any_single_member(self):
-        store = ParityStore(group_width=2)
-        blocks = {0: ((1, 2), (3, 4)), 1: ((5, 6),)}
-        for index, records in blocks.items():
-            store.update(7, index, None, records)
-        for lost in (0, 1):
-            siblings = [blocks[i] for i in blocks if i != lost]
-            assert store.reconstruct(7, lost, siblings) == blocks[lost]
-
-    def test_incremental_update_tracks_overwrites(self):
-        store = ParityStore(group_width=2)
-        store.update(1, 0, None, ((1, 1),))
-        store.update(1, 1, None, ((2, 2),))
-        store.update(1, 0, ((1, 1),), ((9, 9),))
-        assert store.reconstruct(1, 0, [((2, 2),)]) == ((9, 9),)
-
-    def test_drop_file_forgets_parity(self):
-        store = ParityStore(group_width=2)
-        store.update(1, 0, None, ((1, 1),))
-        store.update(2, 0, None, ((2, 2),))
-        store.drop_file(1)
-        assert store.reconstruct(1, 0, []) is None
-        assert len(store) == 1
-
-    def test_unsupported_payload_rejected(self):
-        with pytest.raises(StorageError):
-            encode_records(("strings", "nope"))
-
-
-# ---------------------------------------------------------------------------
-# Worker supervision
-
-
-def _supervised_pool(workers=2, schedule=None):
-    device = BlockDevice(block_size=64)
-    if schedule is not None:
-        schedule.attach(device)
-    pool = WorkerPool(workers=workers)
-    device.attach_workers(pool)
-    return device, pool
-
-
-class TestWorkerSupervision:
-    def test_dead_worker_task_is_redispatched(self):
-        schedule = FaultSchedule.single("worker-die", at_task=1)
-        device, pool = _supervised_pool(schedule=schedule)
-        assert pool.run([lambda: 1, lambda: 2, lambda: 3]) == [1, 2, 3]
-        health = device.stats.health
-        assert health.redispatches == 1
-        assert any("re-dispatched" in event for event in health.events)
-
-    def test_hung_worker_task_is_redispatched(self):
-        schedule = FaultSchedule.single("worker-hang", at_task=2)
-        device, pool = _supervised_pool(schedule=schedule)
-        assert pool.run([lambda: "a", lambda: "b"]) == ["a", "b"]
-        assert device.stats.health.redispatches == 1
-
-    def test_serial_inline_path_is_supervised_too(self):
-        schedule = FaultSchedule.single("worker-die", at_task=1)
-        device, pool = _supervised_pool(workers=1, schedule=schedule)
-        assert pool.run([lambda: 10, lambda: 20]) == [10, 20]
-        assert device.stats.health.redispatches == 1
-
-    def test_lazy_thunk_stream_redispatches(self):
-        schedule = FaultSchedule.single("worker-die", at_task=1)
-        device, pool = _supervised_pool(schedule=schedule)
-        out = pool.run(lambda i=i: i for i in range(5))
-        assert out == list(range(5))
-        assert device.stats.health.redispatches == 1
-
-    def test_faults_never_touch_io_ledger(self):
-        schedule = FaultSchedule.single("worker-die", at_task=1)
-        device, pool = _supervised_pool(schedule=schedule)
-        f = device.create("data", record_size=2)
-        pool.run([
-            lambda: device.append_block(f, [(1, 1)]),
-            lambda: device.append_block(f, [(2, 2)]),
-        ])
-        # the re-dispatched task charged exactly one write, like a clean run
-        assert device.stats.total == 2
-        assert device.stats.health.redispatches == 1
+    def test_damaged_inputs_names_only_failing_inputs(self):
+        device = BlockDevice(block_size=64)
+        memory = MemoryBudget(1 << 12)
+        edge_file = EdgeFile.from_edges(device, "edges", [(0, 1), (1, 0)] * 8)
+        node_file = NodeFile.from_ids(device, "nodes", range(2), memory,
+                                      presorted=True)
+        manager = CheckpointManager(device)
+        assert manager.damaged_inputs() == []  # no journal yet
+        manager.begin(edge_file, node_file, memory, ExtSCCConfig.optimized())
+        assert manager.damaged_inputs() == []
+        device._damage_block(device.open("edges"), 1)
+        # a fresh manager, as after a restart (verdicts are cached)
+        assert CheckpointManager(device).damaged_inputs() == ["edges"]
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +264,16 @@ class TestPersistentSyncDurability:
 class TestComputeSccsFaults:
     def test_fault_run_matches_clean_labels_and_health_delta(self):
         edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]
-        clean = compute_sccs(edges, num_nodes=4, memory_bytes=1 << 14,
-                             parity=True)
+        clean = compute_sccs(edges, num_nodes=4, memory_bytes=1 << 14)
         schedule = FaultSchedule.single("transient-read", at_io=6, failures=2)
         faulty = compute_sccs(
-            edges, num_nodes=4, memory_bytes=1 << 14, parity=True,
+            edges, num_nodes=4, memory_bytes=1 << 14,
             fault_schedule=schedule, fault_policy=FaultPolicy(max_retries=4),
         )
         assert faulty.result.labels == clean.result.labels
         assert clean.health["retries"] == 0
         assert faulty.health["retries"] == 2
         assert faulty.io.total - clean.io.total == 2
-
-    def test_parity_off_by_default(self):
-        out = compute_sccs([(0, 1)], num_nodes=2, memory_bytes=1 << 14)
-        assert out.health["parity_writes"] == 0
-
 
 # ---------------------------------------------------------------------------
 # Chaos property suite
@@ -446,33 +287,51 @@ edges_strategy = st.lists(
     max_size=30,
 )
 
+trigger_strategy = st.one_of(
+    st.just(("in_phase", "semi-scc")),
+    st.tuples(st.just("at_io"), st.integers(1, 12)),
+)
+
 fault_strategy = st.fixed_dictionaries({
-    "kind": st.sampled_from(
-        ["transient-read", "transient-write", "corrupt", "channel-outage"]
-    ),
-    "trigger": st.one_of(
-        st.just(("in_phase", "semi-scc")),
-        st.tuples(st.just("at_io"), st.integers(1, 12)),
-    ),
+    "kind": st.sampled_from(["transient-read", "transient-write"]),
+    "trigger": trigger_strategy,
     "failures": st.integers(1, 2),
 })
 
 
+def _load(device, edges, memory):
+    edge_file = EdgeFile.from_edges(device, "edges", edges)
+    node_file = NodeFile.from_ids(
+        device, "nodes", range(N_NODES), memory, presorted=True
+    )
+    return edge_file, node_file
+
+
 def _chaos_run(edges, schedule=None, policy=None):
-    device = StripedDevice(block_size=256, channels=2, parity=True)
+    device = BlockDevice(block_size=256)
     if policy is not None:
         device.attach_policy(policy)
     if schedule is not None:
         schedule.attach(device)
     memory = MemoryBudget(1 << 14)
-    edge_file = EdgeFile.from_edges(device, "edges", edges)
-    node_file = NodeFile.from_ids(
-        device, "nodes", range(N_NODES), memory, presorted=True
-    )
+    edge_file, node_file = _load(device, edges, memory)
     out = ExtSCC(ExtSCCConfig.optimized()).run(
         device, edge_file, memory, nodes=node_file
     )
     return out, device
+
+
+def restage_damaged_inputs(device, manager, sources):
+    """Rewrite every journaled input that fails validation from its source
+    (``sources``: name -> loader), as ``scc --resume`` does from the edge
+    list; returns the reopened ``(edges, nodes)`` stores to resume with."""
+    for name in manager.damaged_inputs():
+        device.delete(name)
+        sources[name]()
+    return (
+        EdgeFile(ExternalFile.open(device, "edges")),
+        NodeFile(ExternalFile.open(device, "nodes")),
+    )
 
 
 CHAOS_SETTINGS = settings(
@@ -488,10 +347,10 @@ class TestChaosProperties:
     @given(edges=edges_strategy, fault=fault_strategy)
     def test_single_fault_changes_only_the_fault_ledger(self, edges, fault):
         trigger_key, trigger_value = fault["trigger"]
-        kwargs = {trigger_key: trigger_value}
-        if fault["kind"] in ("transient-read", "transient-write"):
-            kwargs["failures"] = fault["failures"]
-        schedule = FaultSchedule.single(fault["kind"], **kwargs)
+        schedule = FaultSchedule.single(
+            fault["kind"], failures=fault["failures"],
+            **{trigger_key: trigger_value},
+        )
 
         clean_out, clean_dev = _chaos_run(edges)
         faulty_out, faulty_dev = _chaos_run(
@@ -513,17 +372,43 @@ class TestChaosProperties:
             faulty_dev.stats.fault_total()
         assert clean_dev.stats.fault_total() == 0
 
-        # 4. Health ledger: clean run spotless (parity maintenance aside);
-        #    a fired fault shows up, an unfired one leaves no trace.
+        # 4. Health ledger: clean run spotless; a fired fault shows up,
+        #    an unfired one leaves no trace.
         assert clean_dev.stats.health.retries == 0
-        assert clean_dev.stats.health.repairs == 0
         if not schedule.fired:
             assert faulty_dev.stats.fault_total() == 0
             assert faulty_dev.stats.health.retries == 0
 
     @CHAOS_SETTINGS
+    @given(edges=edges_strategy, trigger=trigger_strategy)
+    def test_corrupt_block_resumes_from_journal(self, edges, trigger):
+        clean_out, _ = _chaos_run(edges)
+        device = BlockDevice(block_size=256)
+        schedule = FaultSchedule.single("corrupt", **{trigger[0]: trigger[1]})
+        schedule.attach(device)
+        memory = MemoryBudget(1 << 14)
+        edge_file, node_file = _load(device, edges, memory)
+        manager = CheckpointManager(device)
+        config = ExtSCCConfig.optimized()
+        try:
+            out = ExtSCC(config).run(device, edge_file, memory,
+                                     nodes=node_file, checkpoint=manager)
+        except CorruptBlockError:
+            assert schedule.fired
+            edge_file, node_file = restage_damaged_inputs(device, manager, {
+                "edges": lambda: EdgeFile.from_edges(device, "edges", edges),
+                "nodes": lambda: NodeFile.from_ids(
+                    device, "nodes", range(N_NODES), memory, presorted=True
+                ),
+            })
+            out = ExtSCC(config).run(device, edge_file, memory,
+                                     nodes=node_file, checkpoint=manager)
+            assert out.resumed
+        assert out.result.labels == clean_out.result.labels
+
+    @CHAOS_SETTINGS
     @given(edges=edges_strategy)
-    def test_policy_and_parity_alone_change_nothing(self, edges):
+    def test_policy_alone_changes_nothing(self, edges):
         baseline_out, baseline_dev = _chaos_run(edges)
         armed_out, armed_dev = _chaos_run(
             edges, policy=FaultPolicy(max_retries=5, phase_deadline=10.0)

@@ -168,6 +168,146 @@ class TestSccCheckpoint:
         assert len(lines) == 50
         assert {int(l.split()[1]) for l in lines} == {0}
 
+    def test_huge_id_is_one_error_line(self, tmp_path, capsys):
+        """An id past int64 cannot be stored on the persistent device: one
+        ``error:`` line and exit 3, never a traceback."""
+        path = tmp_path / "big.txt"
+        path.write_text(f"0 1\n1 {1 << 63}\n{1 << 63} 0\n")
+        code = main(["scc", str(path), "-o", str(tmp_path / "L"),
+                     "--checkpoint-dir", str(tmp_path / "ckpt")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+
+
+class TestCorruptBlockResume:
+    """A corrupt block is answered by the journal: the checkpointed run
+    exits 4, and ``--resume`` finishes it with the fault-free labels.  The
+    three cells are the chaos matrix's ``corrupt`` phases; contract-1 and
+    expand-1 both damage the stored input edge list, which ``--resume``
+    re-stages from the source file."""
+
+    @pytest.fixture
+    def workload(self, tmp_path):
+        from repro.graph.datasets import build_dataset
+
+        path = tmp_path / "webspam.txt"
+        write_edge_text(path, build_dataset("webspam", num_nodes=400, seed=3).edges)
+        clean = tmp_path / "clean.txt"
+        argv = ["scc", str(path), "-m", "2560", "-b", "256"]
+        assert main(argv + ["-o", str(clean)]) == 0
+        return argv, clean.read_text()
+
+    @pytest.mark.parametrize("phase", ["contract-1", "semi-scc", "expand-1"])
+    def test_exit_4_then_resume_matches_clean(self, tmp_path, workload, phase,
+                                              capsys, monkeypatch):
+        import repro.io.persistent as persistent
+        from repro.recovery import FaultSchedule
+
+        real = persistent.PersistentBlockDevice
+
+        class Rotting(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                FaultSchedule.single("corrupt", in_phase=phase).attach(self)
+
+        argv, clean_labels = workload
+        labels = tmp_path / "labels.txt"
+        argv = argv + ["-o", str(labels), "--checkpoint-dir", str(tmp_path / "ckpt")]
+        capsys.readouterr()
+        monkeypatch.setattr(persistent, "PersistentBlockDevice", Rotting)
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "fails its checksum" in err and "--resume" in err
+        assert not labels.exists()
+
+        monkeypatch.setattr(persistent, "PersistentBlockDevice", real)
+        assert main(argv + ["--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "resumed from checkpoint" in err
+        if phase == "contract-1":  # its first read is of the input edges
+            assert "re-staged damaged input-edges" in err
+        assert labels.read_text() == clean_labels
+
+    def test_damaged_stored_nodes_are_restaged(self, tmp_path, workload,
+                                               capsys, monkeypatch):
+        import repro.io.persistent as persistent
+        from repro.recovery import FaultInjector
+
+        real = persistent.PersistentBlockDevice
+
+        class Crashing(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                FaultInjector(crash_at_io=2000).attach(self)
+
+        argv, _ = workload
+        argv = argv + ["--nodes", "400"]
+        clean = tmp_path / "clean-nodes.txt"
+        assert main(argv + ["-o", str(clean)]) == 0
+        ckpt = tmp_path / "ckpt"
+        labels = tmp_path / "labels.txt"
+        argv += ["-o", str(labels), "--checkpoint-dir", str(ckpt)]
+        monkeypatch.setattr(persistent, "PersistentBlockDevice", Crashing)
+        assert main(argv) == 2  # the simulated crash
+        monkeypatch.setattr(persistent, "PersistentBlockDevice", real)
+
+        device = real(str(ckpt), block_size=256)
+        device._damage_block(device.open("input-nodes"), 0)
+        device.close()
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "re-staged damaged input-nodes" in err
+        assert labels.read_text() == clean.read_text()
+
+
+class TestSigkillResume:
+    def test_sigkilled_runs_resume_to_identical_labels(self, tmp_path):
+        """Real SIGKILLs at seeded delays, one child process at a time;
+        ``--resume`` still reproduces the uninterrupted labels."""
+        import os
+        import random
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+        from repro.graph.datasets import build_dataset
+
+        path = tmp_path / "webspam.txt"
+        write_edge_text(path, build_dataset("webspam", num_nodes=1000, seed=5).edges)
+        argv = ["scc", str(path), "-m", "6K", "-b", "512"]
+        clean = tmp_path / "clean.txt"
+        assert main(argv + ["-o", str(clean)]) == 0
+
+        labels = tmp_path / "labels.txt"
+        argv += ["-o", str(labels), "--checkpoint-dir", str(tmp_path / "ckpt")]
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        cmd = [sys.executable, "-m", "repro"] + argv
+        rng = random.Random(20260411)
+        codes = []
+        for kill in range(3):
+            child = subprocess.Popen(
+                cmd + (["--resume"] if kill else []),
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+            )
+            time.sleep(rng.uniform(0.3, 1.0))
+            child.send_signal(signal.SIGKILL)
+            codes.append(child.wait())
+        assert -signal.SIGKILL in codes, codes
+        done = subprocess.run(cmd + ["--resume"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert labels.read_text() == clean.read_text()
+
 
 class TestBench:
     @pytest.fixture
@@ -395,8 +535,9 @@ class TestVerboseScc:
 
 
 class TestWorkerValidation:
-    """``--workers 0`` used to be silently accepted (and ran serial);
-    it must now be an argparse error, like any other malformed value."""
+    """The CLI runs on one disk and one core: ``--workers`` and
+    ``--parity`` are not options, so any use of them is an argparse error
+    (exit 2), like ``--executor``."""
 
     @pytest.fixture
     def edge_path(self, tmp_path):
@@ -413,15 +554,18 @@ class TestWorkerValidation:
         assert "--workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["scc", "bench"])
+    def test_parity_rejected(self, edge_path, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(edge_path), "--parity"])
+        assert excinfo.value.code == 2
+        assert "--parity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["scc", "bench"])
     def test_unknown_executor_rejected(self, edge_path, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, str(edge_path), "--executor", "fibers"])
         assert excinfo.value.code == 2
         assert "--executor" in capsys.readouterr().err
-
-    def test_workers_one_is_fine(self, edge_path, capsys):
-        assert main(["scc", str(edge_path), "-m", "16K",
-                     "--workers", "1"]) == 0
 
 
 class TestExplainAndTrace:
@@ -479,11 +623,15 @@ class TestExplainAndTrace:
         assert payload["plans"], "executed plans must be serialized"
         plan = payload["plans"][0]
         assert "codec=gap-varint" in plan["rewrites"]
-        assert all("predicted_makespan" in op for op in plan["ops"])
+        assert not any({"predicted_makespan", "workers"} & set(op)
+                       for op in plan["ops"])
+        assert "predicted_makespan" not in plan
+        assert all("makespan" not in span for span in payload["spans"])
         context = payload["context"]
         assert context["codec"] == "gap-varint"
         assert context["bytes_by_width"]
-        assert not {"executor", "objective", "autotune", "cache"} & set(context)
+        assert not {"executor", "objective", "autotune", "cache",
+                    "workers"} & set(context)
         assert all(s["phase"] != "planning" for s in payload["spans"])
 
 
@@ -544,13 +692,12 @@ class TestFaultToleranceFlags:
         write_edge_text(path, cycle_graph(50).edges)
         return path
 
-    def test_fault_policy_and_parity_run_clean(self, edge_path, capsys):
+    def test_fault_policy_run_clean(self, edge_path, capsys):
         code = main(["scc", str(edge_path), "-m", "16K", "-v",
-                     "--fault-policy", "retries=5,seed=7", "--parity"])
+                     "--fault-policy", "retries=5,seed=7"])
         assert code == 0
         err = capsys.readouterr().err
-        assert "health: retries=0" in err
-        assert "escalations=0" in err
+        assert "health: retries=0 escalations=0 backoff=0.000s" in err
 
     def test_health_line_absent_without_fault_machinery(self, edge_path, capsys):
         assert main(["scc", str(edge_path), "-m", "16K", "-v"]) == 0
@@ -558,7 +705,7 @@ class TestFaultToleranceFlags:
 
     def test_bench_accepts_fault_flags(self, edge_path, capsys):
         code = main(["bench", str(edge_path), "-m", "16K",
-                     "--fault-policy", "retries=2", "--parity"])
+                     "--fault-policy", "retries=2"])
         assert code == 0
         assert "health:" in capsys.readouterr().out
 
@@ -568,22 +715,16 @@ class TestFaultToleranceFlags:
         assert excinfo.value.code == 2
         assert "fault-policy" in capsys.readouterr().err
 
-    def test_parity_refused_with_checkpoint_dir(self, edge_path, tmp_path, capsys):
-        code = main(["scc", str(edge_path), "--parity",
-                     "--checkpoint-dir", str(tmp_path / "ckpt")])
-        assert code == 2
-        assert "--parity" in capsys.readouterr().err
-
     def test_trace_json_carries_health(self, edge_path, tmp_path):
         import json
 
         trace_path = tmp_path / "trace.json"
-        code = main(["scc", str(edge_path), "-m", "16K", "--parity",
+        code = main(["scc", str(edge_path), "-m", "16K",
                      "--trace-json", str(trace_path)])
         assert code == 0
-        payload = json.loads(trace_path.read_text())
-        assert payload["context"]["health"]["parity_writes"] > 0
-        assert payload["context"]["health"]["retries"] == 0
+        health = json.loads(trace_path.read_text())["context"]["health"]
+        assert health["retries"] == 0
+        assert not {"repairs", "redispatches", "parity_writes"} & set(health)
 
 
 class TestFaultExitCodes:
@@ -626,7 +767,8 @@ class TestFaultExitCodes:
         )
         assert code == 4
         err = capsys.readouterr().err
-        assert "error:" in err and "--parity" in err
+        assert "error:" in err and "--resume" in err
+        assert "--parity" not in err
 
     def test_storage_error_exits_3(self, edge_path, capsys, monkeypatch):
         from repro.exceptions import StorageError

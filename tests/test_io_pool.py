@@ -139,3 +139,58 @@ class TestValidation:
         device = BlockDevice(block_size=64)
         pool = SharedBufferPool(device)
         assert device.pool is pool
+
+
+class TestUidKeys:
+    def test_uids_are_monotonic_and_never_reused(self):
+        device = BlockDevice(block_size=64)
+        seen = set()
+        for i in range(50):
+            f = device.create(f"f{i}", 16)
+            assert f.uid not in seen
+            seen.add(f.uid)
+            device.delete(f"f{i}")
+        g = device.create("fresh", 16)
+        assert g.uid not in seen
+
+    def test_rename_overwrite_invalidates_cached_target(self):
+        """rename(overwrite=True) must not leave the clobbered target's
+        blocks in the shared cache, or a later open + read could be
+        served the dead file's content."""
+        device = BlockDevice(block_size=64)
+        pool = SharedBufferPool(device, readahead=2, cache_blocks=32)
+        capacity = device.block_size // 16
+
+        old = ExternalFile.from_records(
+            device, "target", [(1, 1)] * (3 * capacity), 16
+        )
+        list(old.scan())  # populate the cache with the doomed content
+
+        replacement = ExternalFile.from_records(
+            device, "incoming", [(2, 2)] * (3 * capacity), 16
+        )
+        device.rename("incoming", "target", overwrite=True)
+
+        reopened = ExternalFile.open(device, "target")
+        assert all(r == (2, 2) for r in reopened.scan())
+        assert replacement.num_records == 3 * capacity
+        # And uid keys keep even a re-created name distinct in the cache.
+        assert reopened.num_records == 3 * capacity
+        assert pool.cache_blocks > 0
+
+    def test_cache_never_serves_dead_files_after_gc(self):
+        """uid-keyed caching: a new DiskFile re-using a dead file's memory
+        address must not hit the dead file's cached blocks."""
+        import gc
+
+        device = BlockDevice(block_size=64)
+        SharedBufferPool(device, readahead=1, cache_blocks=64)
+        capacity = device.block_size // 16
+        for round_no in range(10):
+            f = ExternalFile.from_records(
+                device, "scratch", [(round_no, round_no)] * (2 * capacity), 16
+            )
+            assert all(r == (round_no, round_no) for r in f.scan())
+            f.delete()
+            del f
+            gc.collect()

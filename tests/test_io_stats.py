@@ -1,4 +1,7 @@
-"""Tests for the I/O ledger: counting, phases, snapshots, budgets."""
+"""Tests for the I/O ledger: counting, phases, snapshots, budgets, and
+its thread safety (the query daemon's threads share one ledger)."""
+
+import threading
 
 import pytest
 
@@ -222,3 +225,54 @@ class TestSnapshotRollUp:
             total = total + part
         assert total.rand_reads == 1 + 2 + 3 + 4 + 5
         assert total.to_dict()["total"] == 15
+
+
+class TestIOStatsConcurrency:
+    def test_concurrent_recording_loses_nothing(self):
+        stats = IOStats()
+        threads = 8
+        per_thread = 2000
+        barrier = threading.Barrier(threads)
+
+        def hammer():
+            barrier.wait()
+            for i in range(per_thread):
+                stats.record_read(sequential=(i % 2 == 0))
+                stats.record_write(sequential=(i % 3 != 0))
+                if i % 50 == 0:
+                    stats.record_merge_pass()
+                    stats.record_runs_formed(1)
+                    stats.record_payload_write(1, 16, 8, 16)
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+
+        n = threads * per_thread
+        assert stats.seq_reads == n // 2
+        assert stats.rand_reads == n - n // 2
+        assert stats.seq_writes + stats.rand_writes == n
+        assert stats.total == 2 * n
+        bursts = threads * len(range(0, per_thread, 50))
+        assert stats.merge_passes == bursts
+        assert stats.runs_formed == bursts
+        assert stats.records_written == bursts
+        assert stats.bytes_stored == 8 * bursts
+
+    def test_concurrent_phase_attribution(self):
+        stats = IOStats()
+        with stats.phase("work"):
+            threads = [
+                threading.Thread(
+                    target=lambda: [stats.record_read(True) for _ in range(1000)]
+                )
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert stats.by_phase["work"].total == 6000
+        assert stats.top_level_phases == ["work"]

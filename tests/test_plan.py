@@ -171,19 +171,6 @@ class TestOptimizePlan:
         assert all(op.codec is None for op in free)
         assert "codec=fixed" in plan.rewrites
 
-    def test_sharding_sets_makespan_not_total(self, device, memory):
-        config = ExtSCCConfig.optimized(workers=4)
-        model = CostModel(device.block_size, memory.nbytes)
-        plan = self._contract_plan(device, memory, config)
-        optimize_plan(plan, model, config)
-        serial = self._contract_plan(device, memory, config)
-        optimize_plan(serial, model, ExtSCCConfig.optimized())
-        assert plan.total_predicted == serial.total_predicted
-        assert plan.total_predicted_makespan < plan.total_predicted
-        priced = [op for op in plan.ops if op.predicted_ios is not None]
-        assert priced and all(op.workers == 4 for op in priced)
-        assert "shard(K=4)" in plan.rewrites
-
 
 class TestExecutor:
     def test_stage_order_ctx_and_result(self):
@@ -271,7 +258,7 @@ class TestTraceLedger:
         def span(i, phase):
             return Span(plan="service", stage=f"s#{i}", phase=phase,
                         operators=(), predicted_ios=i, reads=i, writes=1,
-                        random_ios=0, records=0, bytes_stored=0, makespan=i,
+                        random_ios=0, records=0, bytes_stored=0,
                         wall_seconds=0.5)
 
         full, windowed = TraceLedger(), TraceLedger(window=3)
@@ -292,11 +279,6 @@ class TestTraceLedger:
         span = payload["spans"][0]
         assert span["plan"] == "contract-1"
         assert span["reads"] + span["writes"] == out.trace.spans[0].measured_ios
-
-    def test_makespan_tracks_channels_under_sharding(self):
-        out = run_pipeline(config=ExtSCCConfig.optimized(workers=4))
-        assert sum(s.makespan for s in out.trace.spans) <= out.trace.total_measured
-        assert any(s.makespan < s.measured_ios for s in out.trace.spans)
 
 
 class TestWrapperEquivalence:
