@@ -1,15 +1,15 @@
-"""Plan-layer CI gates: the golden plan snapshot and the trace envelope.
+"""Plan-layer CI gates: the stage golden and the trace envelope.
 
-Two properties of the PR 5 plan layer are cheap to check at benchmark
-scale and catastrophic to lose silently:
+Two properties of the plan layer are cheap to check at benchmark scale
+and catastrophic to lose silently:
 
-* **Plan stability** — the optimized operator DAG ``--explain`` prints
-  for the Fig. 6 smoke point is deterministic (stable labels, no runtime
+* **Stage stability** — the priced stage list ``--explain`` prints for
+  the Fig. 6 smoke point is deterministic (stable labels, no runtime
   identifiers), so its rendering is committed as
-  ``results/fig6_smoke.plan.txt`` and exact-matched here.  Any planner
-  change that alters the DAG — a new rewrite, a reordered operator, a
-  changed prediction — must come with a reviewed regeneration of the
-  golden file, never as silent drift.
+  ``results/fig6_smoke.plan.txt`` and exact-matched here.  Any change
+  that alters the stages — a new or reordered stage, a moved checkpoint
+  role, a changed prediction — must come with a reviewed regeneration of
+  the golden file, never as silent drift.
 * **Trace envelope** — after a run, the byte-calibrated cost model must
   re-price the *executed* plans (their size estimates trued up to the
   measured ``|V_i|``/``|E_i|``) to within 15% of the trace ledger's
@@ -29,7 +29,6 @@ scale and catastrophic to lose silently:
 from conftest import RESULTS_DIR
 
 from repro.analysis import CostModel
-from repro.analysis.planner import optimize_plan, predict_plan
 from repro.bench import (
     BLOCK_SIZE,
     memory_for_ratio,
@@ -57,8 +56,8 @@ def _smoke_workload():
 
 
 def _render_smoke_plan() -> str:
-    """Build and optimize the contract-1 plan exactly as ``--explain``
-    does: declaratively, from the workload's sizes, without running."""
+    """Build and price the contract-1 plan exactly as ``--explain`` does:
+    from the workload's sizes, without running."""
     graph, edges, memory_bytes = _smoke_workload()
     device = BlockDevice(block_size=BLOCK_SIZE)
     memory = MemoryBudget(memory_bytes)
@@ -70,7 +69,7 @@ def _render_smoke_plan() -> str:
     plan = build_contract_plan(
         device, edge_file, node_file, memory, config, level=1
     )
-    optimize_plan(plan, CostModel(BLOCK_SIZE, memory_bytes), config)
+    plan.price(CostModel(BLOCK_SIZE, memory_bytes))
     return plan.render() + "\n"
 
 
@@ -87,7 +86,7 @@ def test_plan_golden_fig6_smoke(benchmark):
     if rendered != golden:
         CANDIDATE.write_text(rendered)
         raise AssertionError(
-            "optimized plan drifted from the golden snapshot "
+            "priced stages drifted from the golden snapshot "
             f"({GOLDEN.name}). If the change is intentional, review "
             f"{CANDIDATE.name} and replace the golden file with it."
         )
@@ -113,10 +112,9 @@ def _run_and_reprice(config):
     model = CostModel(BLOCK_SIZE, memory_bytes, bytes_per_record=calibration)
     predicted_by_phase = {}
     for plan in out.plans:
-        predict_plan(plan, model)
         top = plan.phase.split("/", 1)[0]
         predicted_by_phase[top] = (
-            predicted_by_phase.get(top, 0) + plan.total_predicted
+            predicted_by_phase.get(top, 0) + plan.price(model)
         )
     measured_by_phase = {
         top: bucket["measured"] for top, bucket in out.trace.by_phase().items()

@@ -3,8 +3,8 @@
 There is one execution path, so at every codec a repeat of the smoke run
 reproduces the first run's simulated ledger and answer exactly; only wall
 time may move.  That identity is gated exactly.  Wall time itself is
-measured by ``benchmarks/perf``; ``BENCH_wallclock.json`` is the frozen
-history of the earlier scalar-vs-batch comparison.
+measured by the repository benchmark (``BENCHMARK.json``,
+``benchmarks/perf``).
 """
 
 from repro.bench import (

@@ -15,22 +15,17 @@ Table I workloads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.cost_model import CostModel
 from repro.constants import SEMI_EXTERNAL_BYTES_PER_NODE
-from repro.core.config import ExtSCCConfig
 from repro.core.ext_scc import IterationRecord
-from repro.plan import ExtPlan
 
 __all__ = [
     "ExtSCCPlan",
     "PlannedIteration",
     "plan_ext_scc",
-    "predict_plan",
-    "optimize_plan",
 ]
 
 
@@ -92,119 +87,6 @@ class ExtSCCPlan:
         lines.append(f"TOTAL predicted: ~{self.total_ios:,} block I/Os "
                      f"({self.num_iterations} iterations)")
         return "\n".join(lines)
-
-
-def _sort_parts(
-    model: CostModel, records: int, record_size: int, streamed: bool
-) -> Tuple[int, int, int]:
-    """``(run formation, merge passes, final write)`` blocks of one
-    external sort, decomposed so the three parts sum *exactly* to
-    :meth:`CostModel.sort` (materialized) or
-    :meth:`CostModel.sort_streamed` (fused):
-
-    * materialized, multi-run: ``n + (2L-1)n + n = (1+2L)n``;
-    * materialized, single run: ``n + 0 + 0`` (the rename shortcut);
-    * streamed: ``n + (2L-1)n + 0 = 2Ln`` — the final level only reads.
-    """
-    if records <= 0:
-        return 0, 0, 0
-    nblocks = model.blocks(records, record_size)
-    runs = model.expected_runs(records, record_size)
-    fan_in = max(2, model.memory_bytes // model.block_size - 1)
-    if streamed:
-        levels = 1 if runs <= 1 else (math.ceil(math.log(runs, fan_in)) or 1)
-        return nblocks, (2 * levels - 1) * nblocks, 0
-    if runs == 1:
-        return nblocks, 0, 0
-    levels = math.ceil(math.log(runs, fan_in)) or 1
-    return nblocks, (2 * levels - 1) * nblocks, nblocks
-
-
-def _op_cost(model: CostModel, op) -> int:
-    """Blocks one operator's cost spec prices to (serial total)."""
-    kind = op.cost[0]
-    if kind == "free":
-        return 0
-    records, width = op.cost[1], op.cost[2]
-    if kind in ("scan", "write"):
-        return model.scan(records, width)
-    parts = _sort_parts(model, records, width, streamed=op.fused)
-    if kind == "sort-runs":
-        return parts[0]
-    if kind == "merge-passes":
-        return parts[1]
-    if kind == "sort-final":
-        return parts[2]
-    raise ValueError(f"unknown cost spec {op.cost!r} on {op.label!r}")
-
-
-def predict_plan(plan: ExtPlan, model: CostModel) -> int:
-    """Fill every operator's ``predicted_ios``.
-
-    Free operators (in-flight transforms, fused co-scans) keep
-    ``predicted_ios=None`` and render as ``-``; elided operators predict
-    nothing.  Returns the plan's predicted total.  By the
-    :func:`_sort_parts` invariant, a plan whose operators mirror one cost
-    model phase sums to exactly that phase's prediction — the unit tests
-    pin contract/expand/semi plans against
-    :meth:`CostModel.contraction_iteration` and friends.
-    """
-    for op in plan.ops:
-        if op.elided or op.cost[0] == "free":
-            op.predicted_ios = None
-            continue
-        op.predicted_ios = _op_cost(model, op)
-    return plan.total_predicted
-
-
-def optimize_plan(plan: ExtPlan, model: CostModel, config: ExtSCCConfig) -> ExtPlan:
-    """The planner pass: cost-based rewrites over a freshly built plan.
-
-    Applies, in order:
-
-    1. **Fusion** (PR 1): every sort group with a ``fusable``
-       ``Materialize`` is priced both ways — streamed vs. materialized —
-       and the cheaper boundary wins (streaming always does —
-       ``2Ln <= (1+2L)n`` — so the ``Materialize`` is elided and the
-       group's sort operators marked ``fused``).  The executable stages
-       already stream these boundaries, so the rewrite is what makes the
-       declarative view — and its cost — match what runs.
-    2. **Codec selection** (PR 2): every writing operator is tagged with
-       ``config.codec``; a model given ``bytes_per_record`` then prices
-       its blocks at the measured stored width
-       (:meth:`CostModel.stored_width`).
-
-    Finishes with :func:`predict_plan`.  Returns ``plan`` (mutated).
-    """
-    # -- 1. fusion ---------------------------------------------------------
-    saved = 0
-    fused_groups = 0
-    for mat in plan.ops:
-        if not (mat.kind == "materialize" and mat.fusable and mat.group):
-            continue
-        group = [op for op in plan.ops if op.group == mat.group]
-        records, width = mat.cost[1], mat.cost[2]
-        materialized = sum(_sort_parts(model, records, width, False))
-        streamed = sum(_sort_parts(model, records, width, True))
-        if streamed <= materialized:
-            saved += materialized - streamed
-            fused_groups += 1
-            mat.elided = True
-            for op in group:
-                if op is not mat:
-                    op.fused = True
-    if fused_groups:
-        plan.rewrites.append(f"fuse({fused_groups} sorts, -{saved} blocks)")
-    # -- 2. codec ----------------------------------------------------------
-    tagged = False
-    for op in plan.ops:
-        if op.writes and not op.elided:
-            op.codec = config.codec
-            tagged = True
-    if tagged:
-        plan.rewrites.append(f"codec={config.codec}")
-    predict_plan(plan, model)
-    return plan
 
 
 def plan_ext_scc(

@@ -43,18 +43,7 @@ from repro.io.memory import MemoryBudget
 from repro.io.sort import KEY_DST_SRC, KEY_SRC_DST, external_sort_records, external_sort_stream
 from repro.io.stats import IOSnapshot
 from repro.memory_scc.tarjan import tarjan_scc
-from repro.plan import (
-    Dedupe,
-    ExtPlan,
-    Materialize,
-    MergeJoin,
-    MergePasses,
-    PlanExecutor,
-    Rewrite,
-    Scan,
-    SortRuns,
-    TraceLedger,
-)
+from repro.plan import ExtPlan, PlanExecutor, TraceLedger
 
 __all__ = ["em_scc", "EMSCCOutput", "build_em_iteration_plan"]
 
@@ -129,13 +118,12 @@ def build_em_iteration_plan(
     chunk_size: int,
     owns_edges: bool,
 ) -> ExtPlan:
-    """Declare one EM-SCC compression pass as a plan.
+    """One EM-SCC compression pass as a six-stage plan.
 
-    Six stages, same operation order as the pre-plan loop body.  The
-    edge-file-sized operators carry cost specs (the two endpoint-rewrite
-    sorts and the map sort are streamed, so they are declared ``fused``);
-    the pair- and map-sized operators are data-dependent and stay
-    unpriced.  The final stage returns
+    The stages run in the order of the original loop body.  The
+    edge-file- and map-sized stages are priced (the two endpoint-rewrite
+    sorts and the map sort stream into their consumers); the chunk-map
+    dedupe is data-dependent and stays unpriced.  The final stage returns
     ``(cleaned_edges, composed_map, contractions, nodes_removed)``.
     """
     e = current_edges.num_records
@@ -144,14 +132,6 @@ def build_em_iteration_plan(
     plan = ExtPlan(f"em-scc-{t}", phase=f"em-scc/iter-{t}")
 
     # -- stage 1: partition the edge file, contract chunk-local SCCs -------
-    part_ops = [
-        plan.add(Scan(f"E_{t}", records=e, record_size=EDGE_RECORD_BYTES,
-                      cost=("scan", e, EDGE_RECORD_BYTES))),
-        plan.add(Rewrite("chunk tarjan", inputs=(f"E_{t}",))),
-        plan.add(Materialize("contraction pairs", inputs=("chunk tarjan",),
-                             record_size=SCC_RECORD_BYTES)),
-    ]
-
     def run_partition(ctx: dict):
         pairs = create_record_file(
             device, device.temp_name("empairs"), SCC_RECORD_BYTES, sort_field=None
@@ -188,19 +168,10 @@ def build_em_iteration_plan(
             )
         return pairs, contractions
 
-    plan.stage("partition-contract", part_ops, run_partition)
+    plan.stage("partition-contract", run_partition,
+               predict=lambda m: m.scan(e, EDGE_RECORD_BYTES))
 
     # -- stage 2: first-wins dedupe of the chunk maps ----------------------
-    dedupe_ops = [
-        plan.add(SortRuns("pairs runs", inputs=("contraction pairs",),
-                          record_size=SCC_RECORD_BYTES, fused=True)),
-        plan.add(MergePasses("pairs merge", inputs=("pairs runs",),
-                             record_size=SCC_RECORD_BYTES, fused=True)),
-        plan.add(Dedupe("first-wins map", inputs=("pairs merge",),
-                        record_size=SCC_RECORD_BYTES)),
-        plan.add(Materialize(f"M_{t}", inputs=("first-wins map",),
-                             record_size=SCC_RECORD_BYTES)),
-    ]
 
     def run_dedupe(ctx: dict) -> RecordStore:
         pairs, _ = ctx["partition-contract"]
@@ -223,27 +194,11 @@ def build_em_iteration_plan(
         pairs.delete()
         return deduped
 
-    plan.stage("dedupe-map", dedupe_ops, run_dedupe)
+    plan.stage("dedupe-map", run_dedupe)
 
     # -- stages 3+4: rewrite both endpoints through the mapping ------------
     def rewrite_stage(endpoint: int) -> None:
         side = "src" if endpoint == 0 else "dst"
-        prev = f"E_{t}" if endpoint == 0 else f"E_{t} src-rewritten"
-        ops = [
-            plan.add(SortRuns(f"by-{side} runs", inputs=(prev,), records=e,
-                              record_size=EDGE_RECORD_BYTES,
-                              cost=("sort-runs", e, EDGE_RECORD_BYTES),
-                              group=f"rw-{side}", fused=True)),
-            plan.add(MergePasses(f"by-{side} merge", inputs=(f"by-{side} runs",),
-                                 records=e, record_size=EDGE_RECORD_BYTES,
-                                 cost=("merge-passes", e, EDGE_RECORD_BYTES),
-                                 group=f"rw-{side}", fused=True)),
-            plan.add(MergeJoin(f"map {side}", inputs=(f"by-{side} merge", f"M_{t}"),
-                               records=e, record_size=EDGE_RECORD_BYTES)),
-            plan.add(Materialize(f"E_{t} {side}-rewritten", inputs=(f"map {side}",),
-                                 records=e, record_size=EDGE_RECORD_BYTES,
-                                 cost=("write", e, EDGE_RECORD_BYTES))),
-        ]
 
         def run_rewrite(ctx: dict) -> RecordStore:
             deduped = ctx["dedupe-map"]
@@ -261,29 +216,15 @@ def build_em_iteration_plan(
                 prev_store.delete()
             return rewritten
 
-        plan.stage(f"rewrite-{side}", ops, run_rewrite)
+        # The streamed by-endpoint sort, then the rewritten file's write.
+        plan.stage(f"rewrite-{side}", run_rewrite, predict=lambda m: (
+            m.sort_streamed(e, EDGE_RECORD_BYTES) + m.scan(e, EDGE_RECORD_BYTES)
+        ))
 
     rewrite_stage(0)
     rewrite_stage(1)
 
     # -- stage 5: drop self-loops + duplicates from the contraction --------
-    clean_ops = [
-        plan.add(Dedupe("drop loops+dups", inputs=(f"E_{t} dst-rewritten",),
-                        records=e, record_size=EDGE_RECORD_BYTES)),
-        plan.add(SortRuns("clean runs", inputs=("drop loops+dups",), records=e,
-                          record_size=EDGE_RECORD_BYTES,
-                          cost=("sort-runs", e, EDGE_RECORD_BYTES),
-                          group="clean")),
-        plan.add(MergePasses("clean merge", inputs=("clean runs",), records=e,
-                             record_size=EDGE_RECORD_BYTES,
-                             cost=("merge-passes", e, EDGE_RECORD_BYTES),
-                             group="clean")),
-        plan.add(Materialize(f"E_{t + 1}", inputs=("clean merge",), records=e,
-                             record_size=EDGE_RECORD_BYTES,
-                             cost=("sort-final", e, EDGE_RECORD_BYTES),
-                             group="clean")),
-    ]
-
     def run_clean(ctx: dict) -> RecordStore:
         rewritten2 = ctx["rewrite-dst"]
         cleaned = external_sort_records(
@@ -296,26 +237,10 @@ def build_em_iteration_plan(
         rewritten2.delete()
         return cleaned
 
-    plan.stage("clean-edges", clean_ops, run_clean)
+    plan.stage("clean-edges", run_clean,
+               predict=lambda m: m.sort(e, EDGE_RECORD_BYTES))
 
     # -- stage 6: compose the cumulative map with this contraction ---------
-    compose_ops = [
-        plan.add(Scan("map", records=n_map, record_size=SCC_RECORD_BYTES)),
-        plan.add(SortRuns("map by-current runs", inputs=("map",),
-                          records=n_map, record_size=SCC_RECORD_BYTES,
-                          cost=("sort-runs", n_map, SCC_RECORD_BYTES),
-                          group="compose", fused=True)),
-        plan.add(MergePasses("map by-current merge",
-                             inputs=("map by-current runs",), records=n_map,
-                             record_size=SCC_RECORD_BYTES,
-                             cost=("merge-passes", n_map, SCC_RECORD_BYTES),
-                             group="compose", fused=True)),
-        plan.add(MergeJoin("compose", inputs=("map by-current merge", f"M_{t}"),
-                           records=n_map, record_size=SCC_RECORD_BYTES)),
-        plan.add(Materialize(f"map_{t}", inputs=("compose",), records=n_map,
-                             record_size=SCC_RECORD_BYTES,
-                             cost=("write", n_map, SCC_RECORD_BYTES))),
-    ]
 
     def run_compose(ctx: dict):
         _, contractions = ctx["partition-contract"]
@@ -341,7 +266,11 @@ def build_em_iteration_plan(
         deduped.delete()
         return cleaned, composed, contractions, nodes_removed
 
-    plan.stage("compose-map", compose_ops, run_compose)
+    # The streamed by-current map sort, then the composed map's write.
+    plan.stage("compose-map", run_compose, predict=lambda m: (
+        m.sort_streamed(n_map, SCC_RECORD_BYTES)
+        + m.scan(n_map, SCC_RECORD_BYTES)
+    ))
     return plan
 
 
@@ -368,11 +297,8 @@ def em_scc(
     Returns:
         An :class:`EMSCCOutput` when the heuristic converges.
     """
-    # Local import: the planner module imports core.ext_scc, which has no
-    # path back here, but keeping the import lazy mirrors the other plan
-    # builders and keeps baselines importable without analysis.
+    # Local import: keeps baselines importable without analysis.
     from repro.analysis.cost_model import CostModel
-    from repro.analysis.planner import predict_plan
 
     start_time = time.perf_counter()
     run_start = device.stats.snapshot()
@@ -403,7 +329,7 @@ def em_scc(
             device, current_edges, cumulative, memory, iterations,
             num_nodes, chunk_size, owns_edges,
         )
-        predict_plan(plan, model)
+        plan.price(model)
         cleaned, composed, contractions, nodes_removed = executor.execute(plan)
         total_contractions += contractions
         current_edges = cleaned

@@ -208,13 +208,12 @@ def _run_checkpointed(args: argparse.Namespace, config, on_iteration):
 
 
 def _explain_scc(args: argparse.Namespace, config) -> int:
-    """``scc --explain``: print the optimized operator DAG of the first
-    phase the run would execute (contract-1, or the semi-external hand-off
-    when the input already fits) plus the analytic full-run schedule,
-    without running anything."""
+    """``scc --explain``: print the priced stages of the first phase the
+    run would execute (contract-1, or the semi-external hand-off when the
+    input already fits) plus the analytic full-run schedule, without
+    running anything."""
     from repro.analysis import plan_ext_scc
     from repro.analysis.cost_model import CostModel
-    from repro.analysis.planner import optimize_plan
     from repro.core.contraction import build_contract_plan
     from repro.core.ext_scc import ExtSCC
     from repro.graph.edge_file import EdgeFile, NodeFile
@@ -245,7 +244,7 @@ def _explain_scc(args: argparse.Namespace, config) -> int:
         plan = build_contract_plan(
             device, edge_file, node_file, memory, config, level=1
         )
-    optimize_plan(plan, model, config)
+    plan.price(model)
     print(plan.render())
     print()
     print(plan_ext_scc(
@@ -649,13 +648,13 @@ def build_parser() -> argparse.ArgumentParser:
     scc.add_argument("--verbose", "-v", action="store_true",
                      help="print per-iteration contraction progress")
     scc.add_argument("--explain", action="store_true",
-                     help="print the optimized operator plan (per-operator "
+                     help="print the first phase's stages (per-stage "
                           "predicted I/Os) and the analytic schedule, then "
                           "exit without running")
     scc.add_argument("--trace-json", metavar="PATH",
-                     help="after the run, dump the per-operator execution "
-                          "trace (predicted vs. measured I/Os per plan "
-                          "stage) as JSON to PATH")
+                     help="after the run, dump the execution trace "
+                          "(predicted vs. measured I/Os per plan stage) as "
+                          "JSON to PATH")
     scc.add_argument("--solver", choices=sorted(SEMI_SCC_SOLVERS),
                      default=None,
                      help="semi-external SCC solver for the contracted "

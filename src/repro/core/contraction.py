@@ -34,7 +34,7 @@ from operator import itemgetter
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.constants import NODE_RECORD_BYTES
+from repro.constants import EDGE_RECORD_BYTES, NODE_RECORD_BYTES
 from repro.core.config import ExtSCCConfig
 from repro.core.operators import make_key_fn
 from repro.core.vertex_cover import BoundedCoverTable
@@ -44,17 +44,7 @@ from repro.io.codecs import RecordStore, create_record_file, record_file_from_re
 from repro.io.join import anti_join, cogroup, lookup_join, semi_join
 from repro.io.memory import MemoryBudget
 from repro.io.sort import KEY_DST_SRC, KEY_SRC_DST, external_sort_records, external_sort_stream
-from repro.plan import (
-    Dedupe,
-    ExtPlan,
-    Materialize,
-    MergeJoin,
-    MergePasses,
-    PlanExecutor,
-    Rewrite,
-    Scan,
-    SortRuns,
-)
+from repro.plan import ExtPlan, PlanExecutor
 
 __all__ = [
     "ContractionLevel",
@@ -65,8 +55,8 @@ __all__ = [
     "build_degree_file",
 ]
 
-# Default next-level size coefficients for the two Get-E operators whose
-# inputs do not exist until the iteration runs (measured medians of the
+# Default next-level size coefficients for the Get-E terms whose inputs
+# do not exist until the iteration runs (measured medians of the
 # contraction traces; ``analysis.planner.plan_ext_scc`` uses the same).
 NODE_RETENTION_EST = 0.72
 EDGE_GROWTH_EST = 1.25
@@ -460,47 +450,23 @@ def build_contract_plan(
     config: ExtSCCConfig,
     level: int,
 ) -> ExtPlan:
-    """Declare one contraction iteration ``G_i -> G_{i+1}`` as a plan.
+    """One contraction iteration ``G_i -> G_{i+1}`` as a four-stage plan.
 
-    The operator DAG mirrors the cost model's Get-V / Get-E terms one to
-    one (so an optimized plan's prediction sums to exactly
-    :meth:`CostModel.contraction_iteration`); the four executable stages
-    keep every fused sort chain intact, so executing the plan is
-    byte-identical to the pre-plan pipeline.  The two operators over not-yet-built ``G_{i+1}`` files use
-    the planner's retention/growth estimates; the executing caller
-    overwrites their ``records`` with the measured sizes once the stage
-    has run (predictions never influence execution).
+    The stages keep every fused sort chain intact, so executing the plan
+    is byte-identical to calling the pipeline directly; their predictions
+    split :meth:`CostModel.contraction_iteration` term for term (fused
+    boundaries at :meth:`CostModel.sort_streamed`).  Get-E's terms over
+    the not-yet-built ``G_{i+1}`` read ``plan.estimates``, which start at
+    the planner's retention/growth coefficients; the executing caller
+    overwrites them with the measured sizes once the level has run.
     """
-    i, n = level, level + 1
     e, v = edges.num_edges, nodes.num_nodes
-    next_v = max(1, int(v * NODE_RETENTION_EST))
-    next_e = max(0, int(e * EDGE_GROWTH_EST))
     vd_width = 12 if config.product_operator else 8
-    ed_width = 8 + (8 if config.product_operator else 4)
-    plan = ExtPlan(f"contract-{i}", phase=f"contraction/contract-{i}")
-
-    # -- stage 1: sort E_i into E_out / E_in --------------------------------
-    src = plan.add(Scan(f"E_{i}", records=e, record_size=8))
-    eout_ops = [
-        plan.add(SortRuns("E_out runs", inputs=(f"E_{i}",), records=e,
-                          record_size=8, cost=("sort-runs", e, 8), group="eout")),
-        plan.add(MergePasses("E_out merge", inputs=("E_out runs",), records=e,
-                             record_size=8, cost=("merge-passes", e, 8),
-                             group="eout")),
-        plan.add(Materialize("E_out", inputs=("E_out merge",), records=e,
-                             record_size=8, cost=("sort-final", e, 8),
-                             group="eout")),
-    ]
-    ein_ops = [
-        plan.add(SortRuns("E_in runs", inputs=(f"E_{i}",), records=e,
-                          record_size=8, cost=("sort-runs", e, 8), group="ein")),
-        plan.add(MergePasses("E_in merge", inputs=("E_in runs",), records=e,
-                             record_size=8, cost=("merge-passes", e, 8),
-                             group="ein")),
-        plan.add(Materialize("E_in", inputs=("E_in merge",), records=e,
-                             record_size=8, cost=("sort-final", e, 8),
-                             group="ein")),
-    ]
+    ed_width = EDGE_RECORD_BYTES + (8 if config.product_operator else 4)
+    plan = ExtPlan(f"contract-{level}", phase=f"contraction/contract-{level}")
+    est = plan.estimates
+    est["next_nodes"] = max(1, int(v * NODE_RETENTION_EST))
+    est["next_edges"] = max(0, int(e * EDGE_GROWTH_EST))
 
     def run_sort_edges(ctx: dict):
         unique = config.dedupe_parallel_edges
@@ -508,119 +474,33 @@ def build_contract_plan(
         ein = edges.sorted_by_dst(memory, unique=unique)
         return eout, ein
 
-    plan.stage("sort-edges", [src] + eout_ops + ein_ops, run_sort_edges)
-
-    # -- stage 2: Get-V (Algorithm 3) --------------------------------------
-    getv_ops = [
-        plan.add(Scan("E_in degree scan", inputs=("E_in",), records=e,
-                      record_size=8, cost=("scan", e, 8))),
-        plan.add(Scan("E_out degree scan", inputs=("E_out",), records=e,
-                      record_size=8, cost=("scan", e, 8))),
-        plan.add(Rewrite("degree merge",
-                         inputs=("E_in degree scan", "E_out degree scan"),
-                         records=v, record_size=vd_width)),
-    ]
-    if config.trim_type1:
-        getv_ops.append(plan.add(Rewrite("type-1 trim",
-                                         inputs=("degree merge",))))
-    getv_ops += [
-        plan.add(Materialize("V_d", inputs=("degree merge",), records=v,
-                             record_size=vd_width,
-                             cost=("write", v, vd_width))),
-        plan.add(MergeJoin("E_d: attach deg(u)", inputs=("E_out", "V_d"),
-                           records=e, record_size=ed_width,
-                           cost=("scan", e, ed_width))),
-        plan.add(SortRuns("E_d runs", inputs=("E_d: attach deg(u)",),
-                          records=e, record_size=ed_width,
-                          cost=("sort-runs", e, ed_width), group="ed")),
-        plan.add(MergePasses("E_d merge", inputs=("E_d runs",), records=e,
-                             record_size=ed_width,
-                             cost=("merge-passes", e, ed_width), group="ed")),
-        plan.add(Materialize("E_d by dst", inputs=("E_d merge",), records=e,
-                             record_size=ed_width,
-                             cost=("sort-final", e, ed_width), group="ed",
-                             fusable=True)),
-        plan.add(MergeJoin("cover pick (>)", inputs=("E_d by dst", "V_d"),
-                           records=e, record_size=4)),
-    ]
-    if config.type2_reduction:
-        getv_ops.append(plan.add(Rewrite("type-2 table",
-                                         inputs=("cover pick (>)",))))
-    getv_ops += [
-        plan.add(SortRuns("cover runs", inputs=("cover pick (>)",), records=e,
-                          record_size=4, cost=("sort-runs", e, 4),
-                          group="cover")),
-        plan.add(MergePasses("cover merge", inputs=("cover runs",), records=e,
-                             record_size=4, cost=("merge-passes", e, 4),
-                             group="cover")),
-        plan.add(Dedupe("cover dedupe", inputs=("cover merge",),
-                        records=next_v, record_size=4)),
-        plan.add(Materialize(f"V_{n}", inputs=("cover dedupe",),
-                             records=next_v, record_size=4,
-                             cost=("sort-final", e, 4), group="cover")),
-    ]
+    # E_out and E_in, both materialized.
+    plan.stage("sort-edges", run_sort_edges,
+               predict=lambda m: 2 * m.sort(e, EDGE_RECORD_BYTES))
 
     def run_get_v(ctx: dict):
         eout, ein = ctx["sort-edges"]
         return get_v(device, edges, ein, eout, memory, config)
 
-    plan.stage("get-v", getv_ops, run_get_v)
-
-    # -- stage 3: Get-E (Algorithm 4) --------------------------------------
-    gete_ops = [
-        plan.add(Scan("E_in removed-dst scan", inputs=("E_in", f"V_{n}"),
-                      records=e, record_size=8, cost=("scan", e, 8))),
-        plan.add(Scan("E_out removed-src scan", inputs=("E_out", f"V_{n}"),
-                      records=e, record_size=8, cost=("scan", e, 8))),
-    ]
-    if config.trim_type1:
-        gete_ops.append(plan.add(Rewrite(
-            "neighbor filter",
-            inputs=("E_in removed-dst scan", "E_out removed-src scan"),
-        )))
-    gete_ops += [
-        plan.add(MergeJoin(
-            "E_add bypass (in × out)",
-            inputs=("E_in removed-dst scan", "E_out removed-src scan"),
-        )),
-        plan.add(MergeJoin("E_pre semi-join (src)", inputs=("E_out", f"V_{n}"),
-                           records=e, record_size=8)),
-        plan.add(SortRuns("E_pre runs", inputs=("E_pre semi-join (src)",),
-                          records=e, record_size=8, cost=("sort-runs", e, 8),
-                          group="epre")),
-        plan.add(MergePasses("E_pre merge", inputs=("E_pre runs",), records=e,
-                             record_size=8, cost=("merge-passes", e, 8),
-                             group="epre")),
-        plan.add(Materialize("E_pre by dst", inputs=("E_pre merge",),
-                             records=e, record_size=8,
-                             cost=("sort-final", e, 8), group="epre",
-                             fusable=True)),
-        plan.add(MergeJoin("E_pre semi-join (dst)",
-                           inputs=("E_pre by dst", f"V_{n}"), records=e,
-                           record_size=8)),
-        plan.add(Scan(f"V_{n} scans", inputs=(f"V_{n}",), records=next_v,
-                      record_size=4, cost=("scan", next_v, 4))),
-        plan.add(Materialize(
-            f"E_{n}",
-            inputs=("E_add bypass (in × out)", "E_pre semi-join (dst)"),
-            records=next_e, record_size=8, cost=("write", next_e, 8),
-        )),
-    ]
+    # Degree co-scan, V_d write, E_d build, the fused E_d resort, and the
+    # cover sort + dedupe.
+    plan.stage("get-v", run_get_v, predict=lambda m: (
+        2 * m.scan(e, EDGE_RECORD_BYTES) + m.scan(v, vd_width)
+        + m.scan(e, ed_width) + m.sort_streamed(e, ed_width)
+        + m.sort(e, NODE_RECORD_BYTES)
+    ))
 
     def run_get_e(ctx: dict):
         eout, ein = ctx["sort-edges"]
         return get_e(device, ein, eout, ctx["get-v"], memory, config)
 
-    plan.stage("get-e", gete_ops, run_get_e)
-
-    # -- stage 4: removed set + the level bundle ---------------------------
-    removed_ops = [
-        plan.add(MergeJoin("removed anti-join", inputs=(f"V_{i}", f"V_{n}"),
-                           records=v, record_size=4)),
-        plan.add(Materialize(f"removed_{i}", inputs=("removed anti-join",),
-                             records=v, record_size=4,
-                             checkpoint="contract")),
-    ]
+    # E_del co-scans, the fused E_pre sort, cover scans, E_{i+1} write.
+    plan.stage("get-e", run_get_e, predict=lambda m: (
+        2 * m.scan(e, EDGE_RECORD_BYTES)
+        + m.sort_streamed(e, EDGE_RECORD_BYTES)
+        + m.scan(est["next_nodes"], NODE_RECORD_BYTES)
+        + m.scan(est["next_edges"], EDGE_RECORD_BYTES)
+    ))
 
     def run_level(ctx: dict) -> ContractionLevel:
         eout, ein = ctx["sort-edges"]
@@ -645,7 +525,8 @@ def build_contract_plan(
             num_edges=edges.num_edges,
         )
 
-    plan.stage("removed-set", removed_ops, run_level)
+    # The removed set is unpriced by the model.
+    plan.stage("removed-set", run_level, checkpoint="contract")
     return plan
 
 
@@ -664,18 +545,9 @@ def contract(
     sorted node files, and returns the :class:`ContractionLevel` bundle the
     expansion phase will need.
 
-    Convenience wrapper: builds the iteration's plan, runs the planner's
-    rewrites, and executes it.  :class:`~repro.core.ext_scc.ExtSCC` calls
-    the builder directly so it can attach tracing and checkpoint hooks.
+    Convenience wrapper: builds the iteration's plan and executes it.
+    :class:`~repro.core.ext_scc.ExtSCC` calls the builder directly so it
+    can price the stages and attach tracing and checkpoint hooks.
     """
-    from repro.analysis.planner import optimize_plan  # cycle via cost_model
-
     plan = build_contract_plan(device, edges, nodes, memory, config, level)
-    optimize_plan(plan, _cost_model(device, memory), config)
     return PlanExecutor(device).execute(plan)
-
-
-def _cost_model(device: BlockDevice, memory: MemoryBudget):
-    from repro.analysis.cost_model import CostModel  # cycle via ext_scc
-
-    return CostModel(device.block_size, memory.nbytes)

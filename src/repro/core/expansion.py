@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
-from repro.constants import AUGMENTED_EDGE_BYTES, SCC_RECORD_BYTES
+from repro.constants import AUGMENTED_EDGE_BYTES, EDGE_RECORD_BYTES, SCC_RECORD_BYTES
 from repro.core.config import ExtSCCConfig
 from repro.core.contraction import ContractionLevel
 from repro.graph.edge_file import EdgeFile, NodeFile
@@ -33,15 +33,7 @@ from repro.io.codecs import RecordStore, record_file_from_records
 from repro.io.join import anti_join, cogroup, lookup_join
 from repro.io.memory import MemoryBudget
 from repro.io.sort import KEY_DST_AUX_SRC, KEY_DST_SRC, external_sort_records, external_sort_stream, merge_runs
-from repro.plan import (
-    ExtPlan,
-    Materialize,
-    MergeJoin,
-    MergePasses,
-    PlanExecutor,
-    Rewrite,
-    SortRuns,
-)
+from repro.plan import ExtPlan, PlanExecutor
 
 __all__ = ["expand_level", "build_expand_plan", "augment"]
 
@@ -103,58 +95,6 @@ def augment(
     )
 
 
-def _augment_ops(plan: ExtPlan, d: str, e: int, v: int) -> list:
-    """Declare one augment pipeline's operators (``d`` is ``in``/``out``).
-
-    Mirrors the cost model's per-augment terms exactly: two streamed
-    edge sorts, the ``scan(v, SCC)`` label join, and the materialized
-    ``(v, SCC, u)`` grouping sort.
-    """
-    p = f"E'_{d}"
-    return [
-        plan.add(SortRuns(f"{p} by-dst runs", inputs=("E_i",), records=e,
-                          record_size=8, cost=("sort-runs", e, 8),
-                          group=f"{d}-bydst")),
-        plan.add(MergePasses(f"{p} by-dst merge", inputs=(f"{p} by-dst runs",),
-                             records=e, record_size=8,
-                             cost=("merge-passes", e, 8), group=f"{d}-bydst")),
-        plan.add(Materialize(f"{p} by dst", inputs=(f"{p} by-dst merge",),
-                             records=e, record_size=8,
-                             cost=("sort-final", e, 8), group=f"{d}-bydst",
-                             fusable=True)),
-        plan.add(MergeJoin(f"{p} removed filter",
-                           inputs=(f"{p} by dst", "V_next"), records=e,
-                           record_size=8)),
-        plan.add(SortRuns(f"{p} by-src runs", inputs=(f"{p} removed filter",),
-                          records=e, record_size=8, cost=("sort-runs", e, 8),
-                          group=f"{d}-bysrc")),
-        plan.add(MergePasses(f"{p} by-src merge", inputs=(f"{p} by-src runs",),
-                             records=e, record_size=8,
-                             cost=("merge-passes", e, 8), group=f"{d}-bysrc")),
-        plan.add(Materialize(f"{p} by src", inputs=(f"{p} by-src merge",),
-                             records=e, record_size=8,
-                             cost=("sort-final", e, 8), group=f"{d}-bysrc",
-                             fusable=True)),
-        plan.add(MergeJoin(f"{p} attach SCC(u)",
-                           inputs=(f"{p} by src", "SCC_next"), records=v,
-                           record_size=SCC_RECORD_BYTES,
-                           cost=("scan", v, SCC_RECORD_BYTES))),
-        plan.add(SortRuns(f"{p} grouped runs", inputs=(f"{p} attach SCC(u)",),
-                          records=e, record_size=AUGMENTED_EDGE_BYTES,
-                          cost=("sort-runs", e, AUGMENTED_EDGE_BYTES),
-                          group=f"{d}-grouped")),
-        plan.add(MergePasses(f"{p} grouped merge",
-                             inputs=(f"{p} grouped runs",), records=e,
-                             record_size=AUGMENTED_EDGE_BYTES,
-                             cost=("merge-passes", e, AUGMENTED_EDGE_BYTES),
-                             group=f"{d}-grouped")),
-        plan.add(Materialize(p, inputs=(f"{p} grouped merge",), records=e,
-                             record_size=AUGMENTED_EDGE_BYTES,
-                             cost=("sort-final", e, AUGMENTED_EDGE_BYTES),
-                             group=f"{d}-grouped")),
-    ]
-
-
 def build_expand_plan(
     device: BlockDevice,
     level: ContractionLevel,
@@ -163,23 +103,15 @@ def build_expand_plan(
     config: ExtSCCConfig,
     delete_input: bool = True,
 ) -> ExtPlan:
-    """Declare one expansion step ``SCC_{i+1} -> SCC_i`` as a plan.
+    """One expansion step ``SCC_{i+1} -> SCC_i`` as a three-stage plan.
 
-    Three stages: the two augment pipelines, the removed-label co-scan, and the label merge whose
-    ``Materialize`` declares the ``expand`` checkpoint role.  The operator
-    DAG mirrors :meth:`CostModel.expansion_iteration` term for term.
+    The two augment pipelines, the removed-label co-scan, and the label
+    merge, which declares the ``expand`` checkpoint role.  The stage
+    predictions split :meth:`CostModel.expansion_iteration` term for term.
     """
     e, v = level.num_edges, level.num_nodes
     i = level.level
     plan = ExtPlan(f"expand-{i}", phase=f"expansion/expand-{i}")
-    srcs = [
-        plan.add(Rewrite("E_i", records=e, record_size=8)),
-        plan.add(Rewrite("V_next", records=level.next_nodes.num_nodes,
-                         record_size=4)),
-        plan.add(Rewrite("SCC_next", records=level.next_nodes.num_nodes,
-                         record_size=SCC_RECORD_BYTES)),
-    ]
-    augment_ops = _augment_ops(plan, "in", e, v) + _augment_ops(plan, "out", e, v)
 
     # E'_in: in-neighbor SCCs of removed nodes (over E_i).
     def augment_in() -> RecordStore:
@@ -196,16 +128,13 @@ def build_expand_plan(
     def run_augments(ctx: dict):
         return augment_in(), augment_out()
 
-    plan.stage("augment", srcs + augment_ops, run_augments)
-
-    label_ops = [
-        plan.add(MergeJoin("removed 3-way co-scan",
-                           inputs=("E'_in", "E'_out", "removed"),
-                           records=v, record_size=SCC_RECORD_BYTES)),
-        plan.add(Materialize("SCC_del", inputs=("removed 3-way co-scan",),
-                             records=v, record_size=SCC_RECORD_BYTES,
-                             cost=("write", v, SCC_RECORD_BYTES))),
-    ]
+    # Per augment: two fused edge sorts, the label merge join, and the
+    # materialized (v, SCC, u) grouping sort.
+    plan.stage("augment", run_augments, predict=lambda m: 2 * (
+        2 * m.sort_streamed(e, EDGE_RECORD_BYTES)
+        + m.scan(v, SCC_RECORD_BYTES)
+        + m.sort(e, AUGMENTED_EDGE_BYTES)
+    ))
 
     def run_labels(ctx: dict) -> RecordStore:
         e_in, e_out = ctx["augment"]
@@ -245,16 +174,9 @@ def build_expand_plan(
         e_out.delete()
         return scc_del
 
-    plan.stage("label-removed", label_ops, run_labels)
-
-    merge_ops = [
-        plan.add(Rewrite("label union", inputs=("SCC_next", "SCC_del"),
-                         records=v, record_size=SCC_RECORD_BYTES)),
-        plan.add(Materialize(f"SCC_{i}", inputs=("label union",), records=v,
-                             record_size=SCC_RECORD_BYTES,
-                             cost=("write", v, SCC_RECORD_BYTES),
-                             checkpoint="expand")),
-    ]
+    # The SCC_del write.
+    plan.stage("label-removed", run_labels,
+               predict=lambda m: m.scan(v, SCC_RECORD_BYTES))
 
     def run_merge(ctx: dict) -> RecordStore:
         scc_del = ctx["label-removed"]
@@ -271,7 +193,9 @@ def build_expand_plan(
             scc_next.delete()
         return scc_i
 
-    plan.stage("merge-labels", merge_ops, run_merge)
+    # The merged SCC_i write.
+    plan.stage("merge-labels", run_merge, checkpoint="expand",
+               predict=lambda m: m.scan(v, SCC_RECORD_BYTES))
     return plan
 
 
@@ -300,14 +224,10 @@ def expand_level(
     Returns:
         ``(node, scc)`` records for all of ``V_i``, sorted by node id.
 
-    Convenience wrapper over :func:`build_expand_plan` + the planner +
-    the executor, mirroring :func:`~repro.core.contraction.contract`.
+    Convenience wrapper over :func:`build_expand_plan` + the executor,
+    mirroring :func:`~repro.core.contraction.contract`.
     """
-    from repro.analysis.planner import optimize_plan  # cycle via cost_model
-    from repro.core.contraction import _cost_model
-
     plan = build_expand_plan(
         device, level, scc_next, memory, config, delete_input=delete_input
     )
-    optimize_plan(plan, _cost_model(device, memory), config)
     return PlanExecutor(device).execute(plan)

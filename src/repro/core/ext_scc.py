@@ -97,9 +97,9 @@ class ExtSCCOutput:
         recovery_io: journal-validation I/O of a checkpointed run (zero
             unless a crashed run was resumed).
         resumed: this run continued a crashed one from its checkpoint.
-        trace: per-operator execution spans (one per executed plan stage,
+        trace: execution spans (one per executed plan stage,
             predicted vs. measured I/Os) — what ``--trace-json`` dumps.
-        plans: the optimized plans the run executed, in execution order,
+        plans: the priced plans the run executed, in execution order,
             with next-level size estimates trued up to the measured sizes
             (so a calibrated model can re-price them post-run).
         bytes_by_width: the run's payload ledger delta —
@@ -265,18 +265,15 @@ class ExtSCC:
         """The contract / semi / expand pipeline, parameterized by an
         optional :class:`ResumeState` that skips the already-durable part.
 
-        Every phase is built as an :class:`~repro.plan.ExtPlan`, rewritten
-        by the planner, and run through one :class:`PlanExecutor` that
-        feeds the run's trace ledger and fires the checkpoint commits
-        declared on ``Materialize`` nodes.  The stage thunks are the same
-        fused pipelines as before, so the ledger and labels are identical
-        to the pre-plan code path.
+        Every phase is built as an :class:`~repro.plan.ExtPlan`, priced
+        with the cost model, and run through one :class:`PlanExecutor`
+        that feeds the run's trace ledger and fires the checkpoint commits
+        its stages declare.
         """
-        # Function-level imports: analysis.cost_model imports this module
-        # (for IterationRecord), so the planner cannot be imported at the
-        # top without a cycle.
+        # Function-level import: analysis.cost_model imports this module
+        # (for IterationRecord), so it cannot be imported at the top
+        # without a cycle.
         from repro.analysis.cost_model import CostModel
-        from repro.analysis.planner import optimize_plan
 
         config = self.config
         resumed = state is not None and state.resumed
@@ -318,7 +315,7 @@ class ExtSCC:
 
                     def record_for(lvl: ContractionLevel) -> IterationRecord:
                         # Built at most once per iteration: the journal's
-                        # commit hook (fired at the plan's Materialize,
+                        # commit hook (fired after the plan's last stage,
                         # after all of the iteration's I/O) and the
                         # iterations list share the same record.
                         if "record" not in made:
@@ -337,13 +334,18 @@ class ExtSCC:
                             device, current_edges, current_nodes, memory,
                             config, level=i,
                         )
-                        optimize_plan(plan, model, config)
+                        plan.price(model)
                         hooks = (
                             checkpoint.plan_hooks(record_factory=record_for)
                             if checkpoint is not None else None
                         )
                         level = executor.execute(plan, commit_hooks=hooks)
-                    _true_up_contract_plan(plan, level)
+                    # True up the next-level size estimates, so a
+                    # calibrated model can re-price the executed plan.
+                    plan.estimates.update(
+                        next_nodes=level.next_nodes.num_nodes,
+                        next_edges=level.next_edges.num_edges,
+                    )
                     plans.append(plan)
                     record = record_for(level)
                     iterations.append(record)
@@ -364,7 +366,7 @@ class ExtSCC:
                     device, current_edges, current_nodes, memory,
                     config.semi_scc,
                 )
-                optimize_plan(plan, model, config)
+                plan.price(model)
                 hooks = (
                     checkpoint.plan_hooks() if checkpoint is not None else None
                 )
@@ -379,14 +381,14 @@ class ExtSCC:
                 with stats.phase(f"expand-{level.level}"):
                     # Commit-then-delete: under checkpointing the previous
                     # labels survive until the expand entry is durable —
-                    # the plan's final Materialize declares the ``expand``
-                    # role, so the executor commits it before this loop
-                    # deletes the previous labels.
+                    # the plan's final stage declares the ``expand`` role,
+                    # so the executor commits it before this loop deletes
+                    # the previous labels.
                     plan = build_expand_plan(
                         device, level, scc_prev, memory, config,
                         delete_input=checkpoint is None,
                     )
-                    optimize_plan(plan, model, config)
+                    plan.price(model)
                     hooks = (
                         checkpoint.plan_hooks(level=level)
                         if checkpoint is not None else None
@@ -435,29 +437,6 @@ class ExtSCC:
             },
             health=stats.health.delta(health_start or {}),
         )
-
-
-def _true_up_contract_plan(plan: ExtPlan, level: ContractionLevel) -> None:
-    """Replace a contract plan's next-level size *estimates* with the sizes
-    the iteration actually produced.
-
-    :func:`~repro.core.contraction.build_contract_plan` prices the two
-    Get-E operators over not-yet-built ``G_{i+1}`` files with the
-    planner's retention/growth coefficients (predictions never influence
-    execution).  Trueing them up afterwards lets a calibrated model
-    re-price the stored plan post-run — the trace-envelope benchmark
-    depends on this.
-    """
-    n = level.level + 1
-    next_v = level.next_nodes.num_nodes
-    next_e = level.next_edges.num_edges
-    for op in plan.ops:
-        if op.label == f"V_{n} scans":
-            op.records, op.cost = next_v, ("scan", next_v, 4)
-        elif op.label == f"E_{n}":
-            op.records, op.cost = next_e, ("write", next_e, 8)
-        elif op.label in (f"V_{n}", "cover dedupe"):
-            op.records = next_v
 
 
 def compute_sccs(

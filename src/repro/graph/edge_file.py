@@ -113,12 +113,10 @@ class EdgeFile:
 
     def scan_blocks(self) -> Iterator[Tuple[Edge, ...]]:
         """Stream whole blocks of ``(u, v)`` records sequentially."""
-        return self.scan_block_range(0, None)
+        return self.scan_block_range()
 
-    def scan_block_range(
-        self, start: int, stop: Optional[int] = None
-    ) -> Iterator[Tuple[Edge, ...]]:
-        """Stream blocks ``start .. stop`` of ``(u, v)`` records.
+    def scan_block_range(self) -> Iterator[Tuple[Edge, ...]]:
+        """Stream every block of ``(u, v)`` records.
 
         Normalizes the two store kinds to one block shape: fixed-width
         blocks hold the records directly, compressed blocks hold
@@ -127,7 +125,7 @@ class EdgeFile:
         The block-granular primitive of the semi-external reachability
         kernels; block counts and charges match :meth:`scan` exactly.
         """
-        for block in self.file.scan_block_range(start, stop):
+        for block in self.file.scan_block_range():
             if block and len(block[0]) == 1:
                 yield tuple(slot[0] for slot in block)
             else:

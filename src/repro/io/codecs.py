@@ -889,14 +889,12 @@ class CompressedRecordFile:
             raise StorageError(f"close {self.name!r} before scanning it")
         return self._var.scan_blocks()
 
-    def scan_block_range(
-        self, start: int, stop: Optional[int] = None
-    ) -> Iterator[Sequence[Tuple[Record]]]:
-        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF),
-        mirroring :meth:`ExternalFile.scan_block_range`."""
+    def scan_block_range(self) -> Iterator[Sequence[Tuple[Record]]]:
+        """Stream every block sequentially, mirroring
+        :meth:`ExternalFile.scan_block_range`."""
         if not self._closed:
             raise StorageError(f"close {self.name!r} before scanning it")
-        return self._var.scan_block_range(start, stop)
+        return self._var.scan_block_range()
 
     def read_block_random(self, index: int) -> Sequence[Record]:
         """Compressed intermediates are scan-only by design."""

@@ -10,7 +10,7 @@ writes); :meth:`scan` streams records back with sequential reads;
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import StorageError
 from repro.io.blocks import BlockDevice, DiskFile
@@ -215,20 +215,17 @@ class ExternalFile:
 
     def scan_blocks(self) -> Iterator[Sequence[Record]]:
         """Stream whole blocks sequentially (for block-granular algorithms)."""
-        return self.scan_block_range(0, None)
+        return self.scan_block_range()
 
-    def scan_block_range(
-        self, start: int, stop: Optional[int] = None
-    ) -> Iterator[Sequence[Record]]:
-        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF)."""
+    def scan_block_range(self) -> Iterator[Sequence[Record]]:
+        """Stream every block front to back with sequential reads."""
         if not self._closed:
             raise StorageError(f"close {self.name!r} before scanning it")
-        end = self._file.num_blocks if stop is None else min(stop, self._file.num_blocks)
         pool = self.device.pool
         if pool is not None:
-            yield from pool.scan_blocks(self._file, start, end)
+            yield from pool.scan_blocks(self._file)
             return
-        for index in range(start, end):
+        for index in range(self._file.num_blocks):
             yield self.device.read_block(self._file, index, sequential=True)
 
     def read_block_random(self, index: int) -> Sequence[Record]:

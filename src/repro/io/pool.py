@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.io.blocks import BlockDevice, DiskFile
@@ -116,17 +116,13 @@ class SharedBufferPool:
                     self._cache.popitem(last=False)
         return block
 
-    def scan_blocks(
-        self, f: "DiskFile", start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[Sequence[Record]]:
+    def scan_blocks(self, f: "DiskFile") -> Iterator[Sequence[Record]]:
         """Sequential scan with readahead: blocks are fetched (and charged,
-        sequentially, once each) in ``readahead``-deep batches.
-
-        ``start``/``stop`` bound the scan to a block range; the charges
-        are exactly those of scanning the range without a pool.
+        sequentially, once each) in ``readahead``-deep batches; the
+        charges are exactly those of scanning the file without a pool.
         """
-        index = start
-        end = f.num_blocks if stop is None else min(stop, f.num_blocks)
+        index = 0
+        end = f.num_blocks
         while index < end:
             batch_end = min(end, index + self.readahead)
             batch = [

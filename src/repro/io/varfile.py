@@ -17,7 +17,7 @@ and their property tests pin the accounted sizes to the encoded lengths.)
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.exceptions import StorageError
 from repro.io.blocks import BlockDevice
@@ -183,21 +183,18 @@ class VarRecordFile:
         With a :class:`~repro.io.pool.SharedBufferPool` attached, blocks
         arrive through its readahead path (same charges, batched fetches).
         """
-        yield from self.scan_block_range(0, None)
+        yield from self.scan_block_range()
 
-    def scan_block_range(
-        self, start: int, stop: Optional[int] = None
-    ) -> Iterator[Sequence[Tuple[object]]]:
-        """Stream blocks ``start .. stop`` sequentially (``None``: to EOF),
+    def scan_block_range(self) -> Iterator[Sequence[Tuple[object]]]:
+        """Stream every block front to back with sequential reads,
         mirroring :meth:`ExternalFile.scan_block_range`."""
         if not self._closed:
             raise StorageError(f"close {self.name!r} before scanning it")
-        end = self._file.num_blocks if stop is None else min(stop, self._file.num_blocks)
         pool = self.device.pool
         if pool is not None:
-            yield from pool.scan_blocks(self._file, start, end)
+            yield from pool.scan_blocks(self._file)
             return
-        for index in range(start, end):
+        for index in range(self._file.num_blocks):
             yield self.device.read_block(self._file, index, sequential=True)
 
     def rename(self, new_name: str, overwrite: bool = True) -> None:

@@ -1,25 +1,15 @@
-"""The declarative external-operator plan layer.
+"""The plan layer: the stage list each pipeline phase executes.
 
-Pipelines build an :class:`ExtPlan` — a DAG over the seven-operator
-vocabulary of :mod:`repro.plan.ops` — instead of calling ``io/``
-functions directly; the planner (:func:`repro.analysis.planner.optimize_plan`)
-applies fusion and codec rewrites with cost predictions, and
-the :class:`PlanExecutor` runs the stages, emits per-operator spans into
-a :class:`TraceLedger`, and fires checkpoint commits declared on
-``Materialize`` nodes.
+Pipelines build an :class:`ExtPlan` — an ordered list of stages, each a
+label, a thunk running the fused external pipeline, an optional
+checkpoint role and a predicted-I/O function of a
+:class:`~repro.analysis.cost_model.CostModel`.  The
+:class:`PlanExecutor` runs the stages, emits one span per stage into a
+:class:`TraceLedger` (measured I/O beside the prediction), and fires the
+checkpoint commit a stage declares as soon as it finishes.
 """
 
 from repro.plan.executor import PlanExecutor
-from repro.plan.ops import (
-    Dedupe,
-    Materialize,
-    MergeJoin,
-    MergePasses,
-    PlanOp,
-    Rewrite,
-    Scan,
-    SortRuns,
-)
 from repro.plan.plan import ExtPlan, PlanStage
 from repro.plan.trace import Span, TraceLedger
 
@@ -29,12 +19,4 @@ __all__ = [
     "PlanExecutor",
     "Span",
     "TraceLedger",
-    "PlanOp",
-    "Scan",
-    "SortRuns",
-    "MergePasses",
-    "MergeJoin",
-    "Dedupe",
-    "Rewrite",
-    "Materialize",
 ]

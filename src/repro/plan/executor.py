@@ -6,10 +6,10 @@ ledger (snapshots are free — no simulated I/O), so each stage's measured
 delta lands in the :class:`~repro.plan.trace.TraceLedger` as one span
 with the planner's prediction beside it.
 
-Checkpoint boundaries are *declared on the plan*: a ``Materialize``
-operator carrying a ``checkpoint`` role makes the executor call the
-matching commit hook with the owning stage's result as soon as that
-stage finishes — commit-then-delete ordering falls out of stage order.
+Checkpoint boundaries are *declared on the plan*: a stage carrying a
+``checkpoint`` role makes the executor call the matching commit hook
+with the stage's result as soon as that stage finishes —
+commit-then-delete ordering falls out of stage order.
 Journal commits perform no simulated I/O, so a hooked run's ledger is
 identical to an unhooked one.
 """
@@ -20,7 +20,7 @@ import time
 from typing import Callable, Dict, Optional
 
 from repro.io.blocks import BlockDevice
-from repro.plan.plan import ExtPlan, PlanStage
+from repro.plan.plan import ExtPlan
 from repro.plan.trace import Span, TraceLedger
 
 __all__ = ["PlanExecutor"]
@@ -57,8 +57,8 @@ class PlanExecutor:
             ctx: optional initial context; each stage's result is stored
                 under its label for downstream stages.
             commit_hooks: ``{checkpoint role: hook}``.  When a stage
-                covering a ``Materialize`` with that role finishes, the
-                hook is called with the stage's result.
+                declaring that role finishes, the hook is called with the
+                stage's result.
         """
         ctx = {} if ctx is None else ctx
         hooks = commit_hooks or {}
@@ -68,7 +68,7 @@ class PlanExecutor:
             if stage.run is None:
                 raise ValueError(
                     f"plan {plan.name!r} stage {stage.label!r} has no "
-                    "thunk; declarative-only plans cannot be executed"
+                    "thunk; a plan built only for pricing cannot be executed"
                 )
             before = stats.snapshot()
             records_before = stats.records_written
@@ -77,23 +77,16 @@ class PlanExecutor:
             result = stage.run(ctx)
             wall = time.perf_counter() - started
             ctx[stage.label] = result
-            self._commit(plan, stage, result, hooks)
+            hook = hooks.get(stage.checkpoint)
+            if hook is not None:
+                hook(result)
             if self.trace is not None:
                 delta = stats.snapshot() - before
-                ops = plan.stage_ops(stage)
-                predicted = (
-                    sum(op.predicted_ios or 0 for op in ops if not op.elided)
-                    if any(op.predicted_ios is not None for op in ops)
-                    else None
-                )
                 self.trace.record(Span(
                     plan=plan.name,
                     stage=stage.label,
                     phase=stats.current_phase,
-                    operators=tuple(
-                        f"{op.kind}:{op.label}" for op in ops
-                    ),
-                    predicted_ios=predicted,
+                    predicted_ios=stage.predicted_ios,
                     reads=delta.seq_reads + delta.rand_reads,
                     writes=delta.seq_writes + delta.rand_writes,
                     random_ios=delta.random,
@@ -102,20 +95,3 @@ class PlanExecutor:
                     wall_seconds=wall,
                 ))
         return result
-
-    @staticmethod
-    def _commit(
-        plan: ExtPlan,
-        stage: PlanStage,
-        result: object,
-        hooks: Dict[str, CommitHook],
-    ) -> None:
-        """Fire the commit hook of any checkpointing ``Materialize`` the
-        finished stage covers."""
-        if not hooks:
-            return
-        for op in plan.stage_ops(stage):
-            if op.kind == "materialize" and not op.elided and op.checkpoint:
-                hook = hooks.get(op.checkpoint)
-                if hook is not None:
-                    hook(result)

@@ -1,8 +1,8 @@
-"""Per-operator execution tracing: spans and the trace ledger.
+"""Per-stage execution tracing: spans and the trace ledger.
 
 Every stage a :class:`~repro.plan.PlanExecutor` runs emits one
-:class:`Span` — which operators ran, the phase they were charged to, the
-planner's predicted blocks, and the measured I/O delta (blocks, payload
+:class:`Span` — the stage, the phase it was charged to, the cost
+model's predicted blocks, and the measured I/O delta (blocks, payload
 bytes, wall time).  The ledger is
 surfaced by ``repro scc --trace-json`` and by bench reporting, and the
 trace-envelope benchmark checks the predictions against the
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["Span", "TraceLedger"]
 
@@ -27,11 +27,8 @@ class Span:
         plan: name of the owning plan (``"contract-1"``).
         stage: stage label within the plan (``"get-v"``).
         phase: innermost I/O-ledger phase the blocks were charged to.
-        operators: ``"kind:label"`` of every DAG operator the stage
-            covers (fused chains execute as one stage, so a span usually
-            spans several operators).
-        predicted_ios: planner prediction summed over those operators
-            (``None`` when the plan was executed without optimization).
+        predicted_ios: the stage's cost-model prediction (``None`` when
+            the plan was executed without being priced).
         reads / writes: measured blocks.
         random_ios: measured non-sequential accesses (zero by design).
         records: records appended to files during the stage.
@@ -42,7 +39,6 @@ class Span:
     plan: str
     stage: str
     phase: str
-    operators: Tuple[str, ...]
     predicted_ios: Optional[int]
     reads: int
     writes: int
@@ -144,9 +140,9 @@ class TraceLedger:
         Args:
             indent: JSON indentation.
             plans: optional executed :class:`~repro.plan.ExtPlan` list —
-                each is serialized with its rewrite log and per-operator
-                ``predicted_ios``, so one
-                artifact carries everything offline analysis needs.
+                each is serialized with its stages (label, checkpoint
+                role, ``predicted_ios``), so one artifact carries
+                everything offline analysis needs.
             context: optional run context (knobs, sizes, the payload
                 ledger).
         """
@@ -161,21 +157,14 @@ class TraceLedger:
                 {
                     "name": plan.name,
                     "phase": plan.phase,
-                    "rewrites": list(plan.rewrites),
                     "predicted_total": plan.total_predicted,
-                    "ops": [
+                    "stages": [
                         {
-                            "id": op.id,
-                            "kind": op.kind,
-                            "label": op.label,
-                            "records": op.records,
-                            "record_size": op.record_size,
-                            "codec": op.codec,
-                            "fused": op.fused,
-                            "elided": op.elided,
-                            "predicted_ios": op.predicted_ios,
+                            "label": stage.label,
+                            "checkpoint": stage.checkpoint,
+                            "predicted_ios": stage.predicted_ios,
                         }
-                        for op in plan.ops
+                        for stage in plan.stages
                     ],
                 }
                 for plan in plans

@@ -221,8 +221,7 @@ class CheckpointManager:
         level: Optional[ContractionLevel] = None,
     ) -> Dict[str, "object"]:
         """Commit callbacks keyed by the checkpoint *role* a plan's
-        ``Materialize`` operators declare, for
-        :meth:`~repro.plan.PlanExecutor.execute`.
+        stages declare, for :meth:`~repro.plan.PlanExecutor.execute`.
 
         Each callback receives the executing stage's result:
 

@@ -18,7 +18,7 @@ from repro.graph.edge_file import EdgeFile
 from repro.io.blocks import BlockDevice
 from repro.io.codecs import RecordStore, record_file_from_records
 from repro.io.memory import MemoryBudget
-from repro.plan import ExtPlan, Materialize, Rewrite, Scan
+from repro.plan import ExtPlan
 from repro.semi_external.forward_backward import forward_backward_scc
 from repro.semi_external.semi_kosaraju import semi_kosaraju_scc
 from repro.semi_external.spanning_tree import SpanningTreeStats, spanning_tree_scc
@@ -83,33 +83,20 @@ def build_semi_plan(
     memory: MemoryBudget,
     solver_name: str,
 ) -> "ExtPlan":
-    """Declare the semi-external hand-off as a one-stage plan.
+    """The semi-external hand-off as a one-stage plan.
 
-    The operator DAG prices the solver at the cost model's
+    The stage is priced at the cost model's
     :data:`SEMI_SCC_PRICED_PASSES` sequential edge scans (the in-memory
-    label computation and write-back are free in the model); the final
-    ``Materialize`` declares the ``semi`` checkpoint role.
+    label computation and write-back are free in the model) and declares
+    the ``semi`` checkpoint role.
     """
     e = edges.num_edges
-    v = nodes.num_nodes
     plan = ExtPlan("semi-scc", phase="semi-scc")
-    ops = [
-        plan.add(Scan(f"E_l pass {k}", inputs=("E_l pass " + str(k - 1),)
-                      if k > 1 else (), records=e, record_size=8,
-                      cost=("scan", e, 8)))
-        for k in range(1, SEMI_SCC_PRICED_PASSES + 1)
-    ]
-    ops.append(plan.add(Rewrite(f"{solver_name} labels",
-                                inputs=(f"E_l pass {SEMI_SCC_PRICED_PASSES}",),
-                                records=v, record_size=SCC_RECORD_BYTES)))
-    ops.append(plan.add(Materialize("SCC_l",
-                                    inputs=(f"{solver_name} labels",),
-                                    records=v, record_size=SCC_RECORD_BYTES,
-                                    checkpoint="semi")))
 
     def run_semi(ctx: dict) -> RecordStore:
         solver = SEMI_SCC_SOLVERS[solver_name]
         return run_semi_scc_to_file(solver, edges, nodes.scan(), memory)
 
-    plan.stage("semi-scc", ops, run_semi)
+    plan.stage("semi-scc", run_semi, checkpoint="semi",
+               predict=lambda m: m.semi_scc(e, SEMI_SCC_PRICED_PASSES))
     return plan

@@ -45,7 +45,7 @@ class BatchEngine:
             so locating blocks costs no I/O).
         cache: the LRU point cache consulted first; capacity 0 disables.
         trace: optional ledger that receives one span per flush.
-        name: label used in span stages/operators (``"scc-label"``).
+        name: label used in span stages (``"scc-label"``).
     """
 
     def __init__(
@@ -146,7 +146,6 @@ class BatchEngine:
                         plan="service",
                         stage=f"{self.name}#{self.flushes}",
                         phase=f"query/{self.name}",
-                        operators=(f"batch-lookup:{self.name}",),
                         predicted_ios=reads,
                         reads=reads,
                         writes=0,

@@ -575,14 +575,17 @@ class TestExplainAndTrace:
         write_edge_text(path, cycle_graph(60).edges)
         return path
 
-    def test_explain_prints_operator_dag(self, edge_path, capsys):
+    def test_explain_prints_stages(self, edge_path, capsys):
         code = main(["scc", str(edge_path), "-m", "300", "-b", "64",
                      "--explain"])
         assert code == 0
         out = capsys.readouterr().out
         assert "plan contract-1" in out
         assert "pred.I/Os" in out
-        assert "rewrites:" in out
+        for stage in ("sort-edges", "get-v", "get-e", "removed-set"):
+            assert f"  {stage} " in out
+        assert "ckpt:contract" in out
+        assert "rewrites:" not in out
         assert "Ext-SCC plan:" in out  # the analytic schedule follows
 
     def test_explain_semi_when_input_fits(self, edge_path, capsys):
@@ -622,10 +625,20 @@ class TestExplainAndTrace:
         payload = json.loads(trace_path.read_text())
         assert payload["plans"], "executed plans must be serialized"
         plan = payload["plans"][0]
-        assert "codec=gap-varint" in plan["rewrites"]
-        assert not any({"predicted_makespan", "workers"} & set(op)
-                       for op in plan["ops"])
-        assert "predicted_makespan" not in plan
+        assert plan["name"] == "contract-1"
+        assert not {"ops", "rewrites", "predicted_makespan"} & set(plan)
+        assert [s["label"] for s in plan["stages"]] == [
+            "sort-edges", "get-v", "get-e", "removed-set"
+        ]
+        assert all(
+            set(s) == {"label", "checkpoint", "predicted_ios"}
+            for s in plan["stages"]
+        )
+        assert plan["stages"][-1]["checkpoint"] == "contract"
+        assert plan["predicted_total"] == sum(
+            s["predicted_ios"] for s in plan["stages"]
+        )
+        assert all("operators" not in span for span in payload["spans"])
         assert all("makespan" not in span for span in payload["spans"])
         context = payload["context"]
         assert context["codec"] == "gap-varint"

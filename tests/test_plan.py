@@ -1,39 +1,32 @@
-"""Tests for the plan layer: operators, planner rewrites, executor, trace.
+"""Tests for the plan layer: stages, pricing, executor, trace.
 
 The load-bearing invariants:
 
-* a contract/expand/semi plan's per-operator predictions sum to *exactly*
-  the matching :class:`CostModel` phase formula (the plans mirror the
-  model term for term);
+* a contract/expand/semi plan's per-stage predictions sum to *exactly*
+  the matching :class:`CostModel` phase formula;
 * executing a plan produces the same ledger as the code it wraps (covered
   exhaustively by the pipeline equivalence tests; spot-checked here);
-* the executor fires checkpoint hooks at ``Materialize`` stages and emits
-  one span per stage.
+* the executor fires the checkpoint hook a stage declares and emits one
+  span per stage;
+* a tracer may swap ``stage.run`` in place around
+  :meth:`PlanExecutor.execute` without changing the run.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from tests.conftest import make_graph_files, random_edges, reference_sccs
 
 from repro.analysis.cost_model import CostModel
-from repro.analysis.planner import optimize_plan, predict_plan
 from repro.core.config import ExtSCCConfig
 from repro.core.contraction import build_contract_plan, contract
-from repro.core.ext_scc import compute_sccs
+from repro.core.ext_scc import ExtSCC, compute_sccs
 from repro.core.expansion import build_expand_plan
 from repro.io.blocks import BlockDevice
 from repro.io.memory import MemoryBudget
-from repro.plan import (
-    ExtPlan,
-    Materialize,
-    PlanExecutor,
-    Rewrite,
-    Scan,
-    Span,
-    TraceLedger,
-)
+from repro.plan import ExtPlan, PlanExecutor, Span, TraceLedger
 from repro.semi_external import (
     SEMI_SCC_PRICED_PASSES,
     build_semi_plan,
@@ -52,25 +45,6 @@ def run_pipeline(memory_bytes=2600, block_size=256, config=None,
 
 
 class TestPlanStructure:
-    def test_add_assigns_ids_and_stage_covers_ops(self):
-        plan = ExtPlan("p")
-        a = plan.add(Scan("a", records=10, record_size=8))
-        b = plan.add(Materialize("b", inputs=("a",), records=10, record_size=8))
-        stage = plan.stage("s", [a, b], lambda ctx: 42)
-        assert (a.id, b.id) == (0, 1)
-        assert plan.stage_ops(stage) == [a, b]
-        assert plan.op_by_label("b") is b
-        with pytest.raises(KeyError):
-            plan.op_by_label("missing")
-
-    def test_checkpoint_roles_skip_elided(self):
-        plan = ExtPlan("p")
-        m1 = plan.add(Materialize("m1", checkpoint="contract"))
-        plan.add(Materialize("m2"))
-        assert plan.checkpoint_roles() == ["contract"]
-        m1.elided = True
-        assert plan.checkpoint_roles() == []
-
     def test_render_is_deterministic_and_label_only(self, device, memory):
         edges = random_edges(40, 120, 3)
         edge_file, node_file = make_graph_files(device, edges, 40, memory)
@@ -81,16 +55,55 @@ class TestPlanStructure:
             plan = build_contract_plan(
                 device, edge_file, node_file, memory, config, level=1
             )
-            optimize_plan(plan, model, config)
+            plan.price(model)
             renders.append(plan.render())
         assert renders[0] == renders[1]
         assert "tmp" not in renders[0]  # no temp-file names leak in
-        assert "rewrites:" in renders[0]
         assert "ckpt:contract" in renders[0]
+        assert [line.split()[0] for line in renders[0].splitlines()[2:6]] == [
+            "sort-edges", "get-v", "get-e", "removed-set"
+        ]
+
+    def test_price_fills_every_stage(self, device, memory):
+        edges = random_edges(40, 120, 3)
+        edge_file, node_file = make_graph_files(device, edges, 40, memory)
+        plan = build_contract_plan(
+            device, edge_file, node_file, memory, ExtSCCConfig.optimized(),
+            level=1,
+        )
+        assert all(s.predicted_ios is None for s in plan.stages)
+        total = plan.price(CostModel(device.block_size, memory.nbytes))
+        assert all(s.predicted_ios is not None for s in plan.stages)
+        assert total == plan.total_predicted == sum(
+            s.predicted_ios for s in plan.stages
+        )
+        assert plan.stages[-1].predicted_ios == 0  # the model prices nothing
+
+
+def _assert_pins(config):
+    """Re-priced at the measured sizes, each executed plan's stages sum to
+    its cost-model phase formula."""
+    out = run_pipeline(config=config)
+    assert out.num_iterations >= 2
+    model = CostModel(256, 2600)
+    plans = {p.name: p for p in out.plans}
+    assert len(plans) == 2 * out.num_iterations + 1
+    for record in out.iterations:
+        # Contract plans are trued up post-run, so re-pricing prices the
+        # measured sizes — exactly what contraction_iteration sees.
+        assert plans[f"contract-{record.level}"].price(model) == (
+            model.contraction_iteration(record, config.product_operator)
+        )
+        assert plans[f"expand-{record.level}"].price(model) == (
+            model.expansion_iteration(record)
+        )
+    assert plans["semi-scc"].price(model) == model.semi_scc(
+        out.iterations[-1].next_num_edges, SEMI_SCC_PRICED_PASSES
+    )
 
 
 class TestPredictionPins:
-    """Optimized plan totals equal the cost model's phase formulas."""
+    """Stage predictions sum to the cost model's phase formulas."""
 
     def test_contract_plan_matches_contraction_iteration(self):
         config = ExtSCCConfig.optimized()
@@ -100,87 +113,65 @@ class TestPredictionPins:
         contract_plans = [p for p in out.plans if p.name.startswith("contract-")]
         assert len(contract_plans) == out.num_iterations
         for plan, record in zip(contract_plans, out.iterations):
-            # Plans are trued up post-run, so re-predicting prices the
-            # measured sizes — exactly what contraction_iteration sees.
-            assert predict_plan(plan, model) == model.contraction_iteration(
+            assert plan.price(model) == model.contraction_iteration(
                 record, config.product_operator
             )
 
     def test_expand_plan_matches_expansion_iteration(self):
-        config = ExtSCCConfig.optimized()
-        out = run_pipeline(config=config)
+        out = run_pipeline(config=ExtSCCConfig.optimized())
         model = CostModel(256, 2600)
         expand_plans = {
             p.name: p for p in out.plans if p.name.startswith("expand-")
         }
         for record in out.iterations:
             plan = expand_plans[f"expand-{record.level}"]
-            assert predict_plan(plan, model) == model.expansion_iteration(record)
+            assert plan.price(model) == model.expansion_iteration(record)
 
     def test_semi_plan_matches_semi_scc(self):
         out = run_pipeline(config=ExtSCCConfig.optimized())
         model = CostModel(256, 2600)
         semi = next(p for p in out.plans if p.name == "semi-scc")
         final_edges = out.iterations[-1].next_num_edges
-        assert predict_plan(semi, model) == model.semi_scc(
+        assert semi.price(model) == model.semi_scc(
             final_edges, SEMI_SCC_PRICED_PASSES
         )
 
     def test_baseline_config_pins_hold_too(self):
-        config = ExtSCCConfig.baseline()
-        out = run_pipeline(config=config)
-        model = CostModel(256, 2600)
-        for plan, record in zip(
-            (p for p in out.plans if p.name.startswith("contract-")),
-            out.iterations,
-        ):
-            assert predict_plan(plan, model) == model.contraction_iteration(
-                record, config.product_operator
-            )
+        _assert_pins(ExtSCCConfig.baseline())
 
+    def test_product_operator_pins_hold(self):
+        config = replace(ExtSCCConfig.baseline(), product_operator=True)
+        _assert_pins(config)
 
-class TestOptimizePlan:
-    def _contract_plan(self, device, memory, config):
-        edges = random_edges(60, 400, 5)
-        edge_file, node_file = make_graph_files(device, edges, 60, memory)
-        return build_contract_plan(
+    def test_fused_boundaries_priced_streamed_at_one_run(self):
+        """A fused sort that fits in one run still writes and re-reads
+        that run (2n), so it is priced with ``sort_streamed`` — never the
+        materialized single-run price (n)."""
+        model = CostModel(256, 1 << 20)
+        assert model.expected_runs(100, 16) == 1
+        assert model.sort_streamed(100, 16) == 2 * model.sort(100, 16)
+        device = BlockDevice(block_size=256)
+        memory = MemoryBudget(1 << 20)
+        edges = random_edges(30, 100, 1)
+        edge_file, node_file = make_graph_files(device, edges, 30, memory)
+        config = ExtSCCConfig.optimized()
+        plan = build_contract_plan(
             device, edge_file, node_file, memory, config, level=1
         )
-
-    def test_fusion_elides_fusable_materializes(self, device, memory):
-        config = ExtSCCConfig.optimized()
-        model = CostModel(device.block_size, memory.nbytes)
-        plan = self._contract_plan(device, memory, config)
-        unoptimized = predict_plan(plan, model)
-        fresh = self._contract_plan(device, memory, config)
-        optimize_plan(fresh, model, config)
-        assert fresh.op_by_label("E_d by dst").elided
-        assert fresh.op_by_label("E_pre by dst").elided
-        assert fresh.op_by_label("E_d runs").fused
-        assert fresh.total_predicted < unoptimized
-        assert any(r.startswith("fuse(") for r in fresh.rewrites)
-
-    def test_codec_rewrite_tags_writers(self, device, memory):
-        config = ExtSCCConfig.optimized(codec="fixed")
-        model = CostModel(device.block_size, memory.nbytes)
-        plan = self._contract_plan(device, memory, config)
-        optimize_plan(plan, model, config)
-        writers = [op for op in plan.ops if op.writes and not op.elided]
-        assert writers and all(op.codec == "fixed" for op in writers)
-        free = [op for op in plan.ops if op.cost[0] == "free"]
-        assert all(op.codec is None for op in free)
-        assert "codec=fixed" in plan.rewrites
+        plan.price(model)
+        stages = {s.label: s.predicted_ios for s in plan.stages}
+        assert stages["sort-edges"] + stages["get-v"] == model.get_v(
+            30, 100, config.product_operator
+        )
 
 
 class TestExecutor:
     def test_stage_order_ctx_and_result(self):
         device = BlockDevice(block_size=64)
         plan = ExtPlan("p")
-        a = plan.add(Rewrite("a"))
-        b = plan.add(Rewrite("b", inputs=("a",)))
         order = []
-        plan.stage("first", [a], lambda ctx: order.append("first") or 10)
-        plan.stage("second", [b], lambda ctx: ctx["first"] + 1)
+        plan.stage("first", lambda ctx: order.append("first") or 10)
+        plan.stage("second", lambda ctx: ctx["first"] + 1)
         result = PlanExecutor(device).execute(plan)
         assert order == ["first"]
         assert result == 11
@@ -188,17 +179,15 @@ class TestExecutor:
     def test_thunkless_stage_refuses(self):
         device = BlockDevice(block_size=64)
         plan = ExtPlan("p")
-        plan.stage("declarative", [plan.add(Rewrite("x"))])
+        plan.stage("priced-only", predict=lambda m: 0)
         with pytest.raises(ValueError, match="no\\s+thunk"):
             PlanExecutor(device).execute(plan)
 
-    def test_commit_hooks_fire_at_materialize_roles(self):
+    def test_commit_hooks_fire_at_stage_roles(self):
         device = BlockDevice(block_size=64)
         plan = ExtPlan("p")
-        m = plan.add(Materialize("out", checkpoint="contract"))
-        skipped = plan.add(Materialize("gone", checkpoint="expand"))
-        skipped.elided = True
-        plan.stage("s", [m, skipped], lambda ctx: "payload")
+        plan.stage("build", lambda ctx: "built")
+        plan.stage("out", lambda ctx: "payload", checkpoint="contract")
         fired = []
         PlanExecutor(device).execute(
             plan, commit_hooks={
@@ -216,7 +205,7 @@ class TestExecutor:
         plan = build_contract_plan(
             device, edge_file, node_file, memory, config, level=1
         )
-        optimize_plan(plan, model, config)
+        plan.price(model)
         trace = TraceLedger()
         before = device.stats.snapshot()
         PlanExecutor(device, trace=trace).execute(plan)
@@ -226,10 +215,12 @@ class TestExecutor:
         ]
         assert trace.total_measured == delta.total
         assert all(s.random_ios == 0 for s in trace.spans)
-        assert trace.spans[0].predicted_ios is not None
-        assert "sort-runs:E_out runs" in trace.spans[0].operators
+        assert [s.predicted_ios for s in trace.spans] == [
+            s.predicted_ios for s in plan.stages
+        ]
 
     def test_unoptimized_plan_spans_have_no_prediction(self, device, memory):
+        """A plan executed without being priced records no prediction."""
         edges = random_edges(30, 90, 2)
         edge_file, node_file = make_graph_files(device, edges, 30, memory)
         plan = build_contract_plan(
@@ -239,6 +230,68 @@ class TestExecutor:
         trace = TraceLedger()
         PlanExecutor(device, trace=trace).execute(plan)
         assert all(s.predicted_ios is None for s in trace.spans)
+
+
+def _ledger_and_labels(wrap=None):
+    """One small Ext-SCC run, optionally with ``PlanExecutor.execute``
+    wrapped the way an outside-in tracer wraps it."""
+    edges = random_edges(400, 3000, 7, self_loops=True)
+    device = BlockDevice(block_size=256)
+    memory = MemoryBudget(2600)
+    edge_file, node_file = make_graph_files(device, edges, 400, memory)
+    original = PlanExecutor.execute
+    if wrap is not None:
+        PlanExecutor.execute = wrap(original)
+    try:
+        out = ExtSCC(ExtSCCConfig.optimized()).run(
+            device, edge_file, memory, nodes=node_file
+        )
+    finally:
+        PlanExecutor.execute = original
+    return device.stats.snapshot(), out.result, out
+
+
+class TestTracerContract:
+    """The benchmark tracer wraps ``PlanExecutor.execute(executor, plan,
+    ...)``, swaps each ``stage.run`` for a wrapper in place, and names
+    layers by the plan-name prefix.  The run must not notice."""
+
+    def test_swapped_stage_runs_are_called_and_restored(self):
+        seen = []
+        calls = []
+
+        def wrap(execute):
+            def traced(executor, plan, *args, **kwargs):
+                seen.append(plan.name)
+                saved = [(stage, stage.run) for stage in plan.stages]
+                for stage, run in saved:
+                    def wrapper(ctx, _run=run, _label=stage.label):
+                        calls.append((plan.name, _label))
+                        return _run(ctx)
+                    stage.run = wrapper
+                try:
+                    return execute(executor, plan, *args, **kwargs)
+                finally:
+                    for stage, run in saved:
+                        stage.run = run
+                    assert all(s.run is r for s, r in saved)
+            return traced
+
+        plain_ledger, plain_labels, _ = _ledger_and_labels()
+        ledger, labels, out = _ledger_and_labels(wrap)
+        assert ledger == plain_ledger
+        assert labels == plain_labels
+        levels = out.num_iterations
+        assert levels >= 2
+        assert seen == (
+            [f"contract-{i}" for i in range(1, levels + 1)]
+            + ["semi-scc"]
+            + [f"expand-{i}" for i in range(levels, 0, -1)]
+        )
+        assert calls == [
+            (plan.name, stage.label)
+            for plan in out.plans for stage in plan.stages
+        ]
 
 
 class TestTraceLedger:
@@ -257,7 +310,7 @@ class TestTraceLedger:
     def test_window_keeps_recent_spans_and_running_totals(self):
         def span(i, phase):
             return Span(plan="service", stage=f"s#{i}", phase=phase,
-                        operators=(), predicted_ios=i, reads=i, writes=1,
+                        predicted_ios=i, reads=i, writes=1,
                         random_ios=0, records=0, bytes_stored=0,
                         wall_seconds=0.5)
 
